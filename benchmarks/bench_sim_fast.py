@@ -34,14 +34,15 @@ def _timed(func, *args, **kwargs):
 
 
 def bench_api_case(name, func, run_args, **kwargs):
+    from repro.blas.api import CallOptions
     from repro.sim.diff import compare_api_results
 
-    cycle_out, cycle_s = _timed(func, *run_args,
-                                sim_mode="cycle", **kwargs)
-    fast_cold_out, fast_cold_s = _timed(func, *run_args,
-                                        sim_mode="fast", **kwargs)
-    fast_warm_out, fast_warm_s = _timed(func, *run_args,
-                                        sim_mode="fast", **kwargs)
+    cycle, fast = CallOptions(sim_mode="cycle"), CallOptions(sim_mode="fast")
+    cycle_out, cycle_s = _timed(func, *run_args, options=cycle, **kwargs)
+    fast_cold_out, fast_cold_s = _timed(func, *run_args, options=fast,
+                                        **kwargs)
+    fast_warm_out, fast_warm_s = _timed(func, *run_args, options=fast,
+                                        **kwargs)
     for fast_out in (fast_cold_out, fast_warm_out):
         mismatches = compare_api_results(cycle_out, fast_out)
         assert not mismatches, (name, mismatches)
@@ -52,7 +53,7 @@ def bench_api_case(name, func, run_args, **kwargs):
         "fast_warm_seconds": round(fast_warm_s, 6),
         "speedup_cold": round(cycle_s / fast_cold_s, 1),
         "speedup_warm": round(cycle_s / fast_warm_s, 1),
-        "total_cycles": cycle_out[1].total_cycles,
+        "total_cycles": cycle_out.report.total_cycles,
     }
 
 

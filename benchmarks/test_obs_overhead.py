@@ -21,7 +21,7 @@ import json
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.obs.sampling import FlightRecorder
 from repro.obs.slo import BurnWindow, SloMonitor, SloObjective, SloSpec
-from repro.runtime.metrics import TenantMetrics, percentile
+from repro.runtime.metrics import TenantMetrics, metric_sink, percentile
 
 
 def _drive_stack(count, rng):
@@ -100,21 +100,23 @@ class TestBoundedTenantState:
         def waits(count):
             return [1e-4 * (1 + i % 13) for i in range(count)]
 
-        exact_small = TenantMetrics(name="t")
-        exact_big = TenantMetrics(name="t")
-        bounded_small = TenantMetrics(name="t", bounded=True)
-        bounded_big = TenantMetrics(name="t", bounded=True)
+        def tenant(bounded):
+            return TenantMetrics(name="t", wait=metric_sink(bounded),
+                                 latency=metric_sink(bounded))
+
+        exact_small, exact_big = tenant(False), tenant(False)
+        bounded_small, bounded_big = tenant(True), tenant(True)
         for value in waits(1_000):
-            exact_small.observe_latency(value)
-            bounded_small.observe_latency(value)
+            exact_small.latency.observe(value)
+            bounded_small.latency.observe(value)
         for value in waits(50_000):
-            exact_big.observe_latency(value)
-            bounded_big.observe_latency(value)
-        assert len(exact_big.latency_seconds) == \
-            50 * len(exact_small.latency_seconds)
-        assert len(bounded_big.latency_hist.counts) == \
-            len(bounded_small.latency_hist.counts)
-        assert bounded_big.latency_seconds == []
-        print(f"\nexact list entries: 1k={len(exact_small.latency_seconds)} "
-              f"50k={len(exact_big.latency_seconds)}; bounded buckets "
-              f"constant at {len(bounded_big.latency_hist.counts)}")
+            exact_big.latency.observe(value)
+            bounded_big.latency.observe(value)
+        assert len(exact_big.latency.values) == \
+            50 * len(exact_small.latency.values)
+        assert len(bounded_big.latency.counts) == \
+            len(bounded_small.latency.counts)
+        assert not hasattr(bounded_big.latency, "values")
+        print(f"\nexact list entries: 1k={len(exact_small.latency.values)} "
+              f"50k={len(exact_big.latency.values)}; bounded buckets "
+              f"constant at {len(bounded_big.latency.counts)}")

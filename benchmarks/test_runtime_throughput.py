@@ -114,8 +114,8 @@ def test_policy_comparison(benchmark, emit):
           f"{'reconf':>7}")
     for name, metrics in outcomes.items():
         print(f"{name:>6} {metrics.sustained_gflops:>8.3f} "
-              f"{metrics.latency_percentile(50) * 1e3:>8.3f} "
-              f"{metrics.latency_percentile(99) * 1e3:>8.3f} "
+              f"{metrics.latency.percentile(50) * 1e3:>8.3f} "
+              f"{metrics.latency.percentile(99) * 1e3:>8.3f} "
               f"{sum(d.reconfigurations for d in metrics.devices):>7}")
 
     for name, metrics in outcomes.items():
@@ -126,5 +126,5 @@ def test_policy_comparison(benchmark, emit):
                  for name, m in outcomes.items()}
     assert reconfigs["area"] == min(reconfigs.values())
     # SJF should not lose on median latency to FIFO on a bursty queue.
-    assert (outcomes["sjf"].latency_percentile(50)
-            <= outcomes["fifo"].latency_percentile(50) * 1.05)
+    assert (outcomes["sjf"].latency.percentile(50)
+            <= outcomes["fifo"].latency.percentile(50) * 1.05)

@@ -4,8 +4,9 @@ Each call simulates the corresponding FPGA design and returns a
 :class:`BlasResult` — the numerical value together with a
 :class:`PerfReport` (cycle count, wall-clock estimate at the design's
 achievable clock, sustained MFLOPS, memory bandwidth and area),
-mirroring the rows of the paper's Tables 3 and 4.  ``BlasResult``
-still unpacks like the historical ``(value, report)`` tuple.
+mirroring the rows of the paper's Tables 3 and 4.  Execution options
+shared by every kernel (clock, XD1 derating, sim mode, …) travel as
+one :class:`CallOptions` bundle.
 
 Both the executing calls and the non-executing ``plan_*`` predictors
 are thin wrappers over one :class:`BlasCall` descriptor, so geometry
@@ -28,10 +29,9 @@ via :func:`gemm_multi`.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 import numpy as np
 
@@ -50,7 +50,6 @@ from repro.sim import fast as fastsim
 REDUCTION_FLUSH_CYCLES = 68
 
 
-@lru_cache(maxsize=None)
 def reduction_flush_cycles(set_size: int, alpha: int = 14) -> int:
     """Exact cycles the reduction circuit takes to flush its final set
     after the last tree-root value enters.
@@ -67,7 +66,13 @@ def reduction_flush_cycles(set_size: int, alpha: int = 14) -> int:
     """
     if set_size < 1:
         raise ValueError("set_size must be positive")
-    size = min(set_size, alpha + 3)
+    return _flush_cycles(min(set_size, alpha + 3), alpha)
+
+
+@lru_cache(maxsize=None)
+def _flush_cycles(size: int, alpha: int) -> int:
+    """The replay behind :func:`reduction_flush_cycles`, cached per
+    clamped size: at most α + 3 entries per adder depth."""
     circuit = SingleAdderReduction(alpha=alpha)
     for i in range(size):
         circuit.cycle(1.0, last=(i == size - 1))
@@ -76,6 +81,7 @@ def reduction_flush_cycles(set_size: int, alpha: int = 14) -> int:
         circuit.cycle()
         cycles += 1
     return cycles
+
 
 #: Per-operation default lane counts (the paper's Table 3/4 choices).
 DEFAULT_K = {"dot": 2, "gemv": 4, "gemm": 8, "spmxv": 4}
@@ -86,12 +92,10 @@ class CallOptions:
     """Cross-kernel execution options, bundled once.
 
     Every executing wrapper (``dot``/``gemv``/``gemm``/``gemm_multi``/
-    ``spmxv``) used to thread ``clock_mhz``/``on_xd1``/``sim_mode``/…
-    through its own signature; :class:`BlasCall` consumes this bundle
-    instead, so adding the next shared option is one change here, not
-    six signature edits.  The wrappers keep their historical keyword
-    arguments and fold them into a ``CallOptions`` — or accept a
-    ready-made bundle via ``options=``.
+    ``spmxv``) takes its ``clock_mhz``/``on_xd1``/``sim_mode``/… as
+    one bundle via ``options=`` and hands it to :class:`BlasCall`, so
+    adding the next shared option is one change here, not six
+    signature edits.
 
     ``fpgas_per_chassis`` declares the chassis width a gang is seated
     on: when a gemm gang spans more blades than one chassis holds, the
@@ -150,34 +154,11 @@ class PerfReport:
 
 @dataclass(frozen=True)
 class BlasResult:
-    """Value + report of one BLAS call.
-
-    Replaces the historical ``(value, PerfReport)`` return tuple.
-    Sequence access (``value, report = result``, ``result[0]``) still
-    works but is deprecated — use ``result.value`` / ``result.report``.
-    Each deprecated call site warns once (Python's warning registry
-    deduplicates per source line under the default filter).
-    """
+    """Value + report of one BLAS call: ``result.value`` and
+    ``result.report``."""
 
     value: Any
     report: PerfReport
-
-    def __iter__(self) -> Iterator[Any]:
-        warnings.warn(
-            "unpacking BlasResult as a (value, report) tuple is "
-            "deprecated; use .value and .report",
-            DeprecationWarning, stacklevel=2)
-        return iter((self.value, self.report))
-
-    def __getitem__(self, index: int) -> Any:
-        warnings.warn(
-            "indexing BlasResult is deprecated; use .value and "
-            ".report",
-            DeprecationWarning, stacklevel=2)
-        return (self.value, self.report)[index]
-
-    def __len__(self) -> int:
-        return 2
 
 
 # ----------------------------------------------------------------------
@@ -243,15 +224,11 @@ def gemm_geometry(p: int, q: int, r: int, k: int,
     return m, m * math.ceil(size / m)
 
 
-#: Backwards-compatible alias for the pre-analyze internal name.
-_gemm_geometry = gemm_geometry
-
-
 def max_gemm_gang(p: int, q: int, r: int, k: int = 8,
                   m: Optional[int] = None) -> int:
     """Widest feasible gang for a gemm of this shape: one FPGA per
     B m-block-column, so at most ``padded/m`` blades can contribute."""
-    m, padded = _gemm_geometry(p, q, r, k, m)
+    m, padded = gemm_geometry(p, q, r, k, m)
     return padded // m
 
 
@@ -470,7 +447,7 @@ class BlasCall:
             operation = f"gemv[{self.architecture}]"
         elif op == "gemm":
             p, q, r = dims
-            m, padded = _gemm_geometry(p, q, r, self.k, self.m)
+            m, padded = gemm_geometry(p, q, r, self.k, self.m)
             if self.blades > 1:
                 gang = self._gang_design(m, padded)
                 bm = padded // m
@@ -597,7 +574,7 @@ class BlasCall:
         A = np.asarray(self.operands[0], dtype=np.float64)
         B = np.asarray(self.operands[1], dtype=np.float64)
         size = max(p, q, r)
-        m, padded = _gemm_geometry(p, q, r, self.k, self.m)
+        m, padded = gemm_geometry(p, q, r, self.k, self.m)
         if (p, q) == (padded, padded) and r == padded:
             a_pad, b_pad = A, B
         else:
@@ -643,35 +620,16 @@ class BlasCall:
 # ----------------------------------------------------------------------
 # executing wrappers
 # ----------------------------------------------------------------------
-def _options(options: Optional[CallOptions],
-             clock_mhz: Optional[float], on_xd1: bool,
-             sim_mode: str, strict: bool = False,
-             fpgas_per_chassis: Optional[int] = None) -> CallOptions:
-    """Fold a wrapper's historical keyword arguments into one
-    :class:`CallOptions`; an explicit ``options=`` bundle wins."""
-    if options is not None:
-        return options
-    return CallOptions(clock_mhz=clock_mhz, on_xd1=on_xd1,
-                       sim_mode=sim_mode, strict=strict,
-                       fpgas_per_chassis=fpgas_per_chassis)
-
-
 def dot(u: np.ndarray, v: np.ndarray, k: int = 2,
-        clock_mhz: Optional[float] = None,
-        on_xd1: bool = False, sim_mode: str = "cycle",
         options: Optional[CallOptions] = None) -> BlasResult:
     """Dot product on the tree architecture (Table 3: k=2)."""
     return BlasCall("dot", operands=(u, v), k=k,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode)).execute()
+                    options=options).execute()
 
 
 def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
          architecture: str = "tree",
-         clock_mhz: Optional[float] = None,
-         on_xd1: bool = False,
          block: Optional[int] = None,
-         sim_mode: str = "cycle",
          options: Optional[CallOptions] = None) -> BlasResult:
     """Matrix-vector multiply (Table 3/4: k=4, tree architecture).
 
@@ -681,16 +639,11 @@ def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
     """
     return BlasCall("gemv", operands=(A, x), k=k,
                     architecture=architecture, block=block,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode)).execute()
+                    options=options).execute()
 
 
 def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
          m: Optional[int] = None,
-         clock_mhz: Optional[float] = None,
-         on_xd1: bool = False,
-         strict: bool = False,
-         sim_mode: str = "cycle",
          options: Optional[CallOptions] = None) -> BlasResult:
     """Dense matrix multiply on the linear PE array (Table 4: k=m=8).
 
@@ -702,32 +655,24 @@ def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
     paper's on-chip limit).
     """
     return BlasCall("gemm", operands=(A, B), k=k, m=m,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode, strict)).execute()
+                    options=options).execute()
 
 
 def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
                m: Optional[int] = None,
-               clock_mhz: Optional[float] = None,
-               on_xd1: bool = False,
-               sim_mode: str = "cycle",
-               fpgas_per_chassis: Optional[int] = None,
                options: Optional[CallOptions] = None) -> BlasResult:
     """Dense matrix multiply on the ``l``-FPGA linear array
     (Section 5.2): the same padded geometry as :func:`gemm`, executed
     as one b×b pass striped over ``l`` blades at effective latency
     n³/(k·l).  The report's efficiency is measured against the array's
-    2·k·l flops/cycle peak.  With ``fpgas_per_chassis`` the array may
-    span chassis; the RapidArray boundary crossings are charged."""
+    2·k·l flops/cycle peak.  With ``options.fpgas_per_chassis`` the
+    array may span chassis; the RapidArray boundary crossings are
+    charged."""
     return BlasCall("gemm", operands=(A, B), k=k, m=m, blades=l,
-                    options=_options(
-                        options, clock_mhz, on_xd1, sim_mode,
-                        fpgas_per_chassis=fpgas_per_chassis)).execute()
+                    options=options).execute()
 
 
 def spmxv(matrix, x: np.ndarray, k: int = 4,
-          clock_mhz: Optional[float] = None,
-          on_xd1: bool = False, sim_mode: str = "cycle",
           options: Optional[CallOptions] = None) -> BlasResult:
     """Sparse matrix-vector multiply on the tree architecture.
 
@@ -736,8 +681,7 @@ def spmxv(matrix, x: np.ndarray, k: int = 4,
     circuit), whose area matches the Level-2 tree design.
     """
     return BlasCall("spmxv", operands=(matrix, x), k=k,
-                    options=_options(options, clock_mhz, on_xd1,
-                                     sim_mode)).execute()
+                    options=options).execute()
 
 
 # ----------------------------------------------------------------------

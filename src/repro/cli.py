@@ -90,12 +90,13 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_dot(args: argparse.Namespace) -> int:
-    from repro.blas import dot
+    from repro.blas import CallOptions, dot
 
     rng = np.random.default_rng(args.seed)
     u = rng.standard_normal(args.n)
     v = rng.standard_normal(args.n)
-    outcome = dot(u, v, k=args.k, sim_mode=args.sim_mode)
+    outcome = dot(u, v, k=args.k,
+                  options=CallOptions(sim_mode=args.sim_mode))
     error = abs(outcome.value - float(np.dot(u, v)))
     print(outcome.report.summary())
     print(f"|simulated - numpy| = {error:.3e}")
@@ -103,13 +104,13 @@ def _cmd_dot(args: argparse.Namespace) -> int:
 
 
 def _cmd_gemv(args: argparse.Namespace) -> int:
-    from repro.blas import gemv
+    from repro.blas import CallOptions, gemv
 
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.n, args.n))
     x = rng.standard_normal(args.n)
     outcome = gemv(A, x, k=args.k, architecture=args.architecture,
-                   sim_mode=args.sim_mode)
+                   options=CallOptions(sim_mode=args.sim_mode))
     error = float(np.max(np.abs(outcome.value - A @ x)))
     print(outcome.report.summary())
     print(f"max |simulated - numpy| = {error:.3e}")
@@ -117,12 +118,13 @@ def _cmd_gemv(args: argparse.Namespace) -> int:
 
 
 def _cmd_gemm(args: argparse.Namespace) -> int:
-    from repro.blas import gemm
+    from repro.blas import CallOptions, gemm
 
     rng = np.random.default_rng(args.seed)
     A = rng.standard_normal((args.n, args.n))
     B = rng.standard_normal((args.n, args.n))
-    outcome = gemm(A, B, k=args.k, m=args.m, sim_mode=args.sim_mode)
+    outcome = gemm(A, B, k=args.k, m=args.m,
+                   options=CallOptions(sim_mode=args.sim_mode))
     error = float(np.max(np.abs(outcome.value - A @ B)))
     print(outcome.report.summary())
     print(f"max |simulated - numpy| = {error:.3e}")
@@ -815,9 +817,9 @@ def _add_workload_options(parser: argparse.ArgumentParser,
                           jobs_default: int = 200,
                           faults_spec: bool = True) -> None:
     """Workload/system flags shared by ``runtime``, ``trace`` and
-    ``faults`` (the latter registers ``--faults-spec`` itself so it can
-    keep the legacy ``--spec`` alias, and loads the plan explicitly —
-    it must not leak into the fault-free sizing dry run)."""
+    ``faults`` (the latter registers ``--faults-spec`` itself and loads
+    the plan explicitly — it must not leak into the fault-free sizing
+    dry run)."""
     parser.add_argument("--chassis", type=_positive_int, default=1)
     parser.add_argument("--blades", type=_positive_int, default=6)
     parser.add_argument("--jobs", type=int, default=jobs_default)
@@ -972,10 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="explicit fault-plan JSON (overrides the "
                            "storm flags); same flag name as "
                            "repro runtime/trace/serve")
-    # Back-compat alias from when the faults command had its own
-    # spelling; hidden from --help.
-    p_fl.add_argument("--spec", dest="faults_spec",
-                      help=argparse.SUPPRESS)
     p_fl.add_argument("--fault-seed", type=int, default=0,
                       help="storm seed (also drives retry jitter and "
                            "bit/word choices)")

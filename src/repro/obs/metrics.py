@@ -1,15 +1,20 @@
 """Streaming metrics: counters, gauges, log-bucket histograms.
 
-The end-of-run aggregates in :mod:`repro.runtime.metrics` keep every
-latency in a Python list — exact, but O(requests) memory, which cannot
-survive a soak run against ``repro serve``.  This module is the O(1)
-counterpart: a :class:`MetricsRegistry` of typed instruments whose
-state size is fixed no matter how many observations flow through,
-designed for the same determinism contract as the rest of the repo —
-all timestamps are the caller's *virtual* (or hybrid) clock seconds,
-nothing reads wall time, and :meth:`MetricsRegistry.snapshot_json`
-serializes byte-identically for byte-identical observation streams.
+The end-of-run aggregates in :mod:`repro.runtime.metrics` collect
+waits and latencies in a *sink*: :class:`ExactSamples` keeps every
+value — exact, but O(requests) memory, which cannot survive a soak run
+against ``repro serve`` — and :class:`Histogram` is the O(1)
+counterpart; both support ``observe``, ``percentile`` and ``merge``.
+The histogram also backs a :class:`MetricsRegistry` of typed
+instruments whose state size is fixed no matter how many observations
+flow through, designed for the same determinism contract as the rest
+of the repo — all timestamps are the caller's *virtual* (or hybrid)
+clock seconds, nothing reads wall time, and
+:meth:`MetricsRegistry.snapshot_json` serializes byte-identically for
+byte-identical observation streams.
 
+* :func:`percentile` / :class:`ExactSamples` — the exact sink;
+  :func:`metric_sink` picks it or a :class:`Histogram`.
 * :class:`Counter` — monotone float total, with optional sliding
   :class:`RateWindow` views over virtual time.
 * :class:`Gauge` — last-write-wins level.
@@ -42,9 +47,13 @@ import math
 import re
 from collections import deque
 from typing import (Any, Deque, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+                    Sequence, Tuple, Union)
 
 __all__ = [
+    "percentile",
+    "ExactSamples",
+    "Sink",
+    "metric_sink",
     "log_boundaries",
     "Histogram",
     "Counter",
@@ -79,6 +88,58 @@ def log_boundaries(lo: float = DEFAULT_LO, hi: float = DEFAULT_HI,
 
 
 _DEFAULT_BOUNDARIES = log_boundaries()
+
+
+def percentile(values: Sequence[float], pct: float) -> float:
+    """Linear-interpolation percentile (deterministic, numpy-free so
+    the schema does not depend on numpy version behavior).
+
+    This is the repo's *single* exact percentile implementation
+    (``repro.runtime.metrics`` and ``repro.serve.loadgen`` re-export
+    it).  It needs the full value list, so it is O(requests) memory —
+    long-lived paths should prefer the bounded-error
+    :class:`Histogram` sink that ``TenantMetrics``/``RuntimeMetrics``
+    use in bounded mode (``BlasRuntime(bounded_metrics=True)``); keep
+    this for tests and offline reports where exactness matters."""
+    if not 0.0 <= pct <= 100.0:
+        raise ValueError("pct must be in [0, 100]")
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (len(ordered) - 1) * pct / 100.0
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    if lo == hi:
+        return ordered[lo]
+    frac = rank - lo
+    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+class ExactSamples:
+    """Sink that keeps every observed value: exact :func:`percentile`
+    results at O(observations) memory.  :class:`Histogram` is the
+    bounded sink with the same ``observe``/``percentile``/``merge``."""
+
+    def __init__(self) -> None:
+        self.values: List[float] = []
+
+    def observe(self, value: float) -> None:
+        self.values.append(value)
+
+    def percentile(self, pct: float) -> float:
+        return percentile(self.values, pct)
+
+    def merge(self, other: "ExactSamples | Histogram") -> "ExactSamples":
+        """Fold ``other`` in; a histogram cannot be, since its exact
+        values are gone."""
+        if not isinstance(other, ExactSamples):
+            raise ValueError(
+                "cannot merge a histogram into exact samples (the "
+                "exact values are gone)")
+        self.values.extend(other.values)
+        return self
 
 
 class Histogram:
@@ -180,14 +241,23 @@ class Histogram:
     def _clamp(self, estimate: float) -> float:
         return min(max(estimate, self.min), self.max)
 
-    # -- aggregation -----------------------------------------------------
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Fold ``other`` into this histogram (equal boundaries only).
+    def percentile(self, pct: float) -> float:
+        """:meth:`quantile` on the 0-100 scale of :func:`percentile`."""
+        return self.quantile(pct / 100.0)
 
-        Bucket counts add exactly; ``sum`` adds floats, so merge is
-        associative up to float addition (exactly associative for
-        dyadic values).  Returns ``self``.
+    # -- aggregation -----------------------------------------------------
+    def merge(self, other: "Histogram | ExactSamples") -> "Histogram":
+        """Fold ``other`` into this histogram.
+
+        An :class:`ExactSamples` sink folds in by observing its values.
+        Histograms need equal boundaries: bucket counts add exactly;
+        ``sum`` adds floats, so merge is associative up to float
+        addition (exactly associative for dyadic values).  Returns
+        ``self``.
         """
+        if isinstance(other, ExactSamples):
+            self.observe_many(other.values)
+            return self
         if other.boundaries != self.boundaries:
             raise ValueError("cannot merge histograms with different "
                              "boundaries")
@@ -220,6 +290,17 @@ class Histogram:
             "p90": self.quantile(0.90),
             "p99": self.quantile(0.99),
         }
+
+
+#: Where a metrics block collects waits and latencies.
+Sink = Union[ExactSamples, Histogram]
+
+
+def metric_sink(bounded: bool) -> Sink:
+    """A wait/latency sink: an O(1) :class:`Histogram` (percentiles
+    within its documented relative error) in bounded mode —
+    ``BlasRuntime(bounded_metrics=True)`` — else exact samples."""
+    return Histogram() if bounded else ExactSamples()
 
 
 class RateWindow:

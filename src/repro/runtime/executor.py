@@ -95,7 +95,7 @@ behind one ``enabled`` check, so disabled tracing allocates nothing.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -113,7 +113,12 @@ from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 from repro.runtime.clock import VirtualClock
 from repro.runtime.job import BlasRequest, Job, JobState, RejectReason
-from repro.runtime.metrics import DeviceMetrics, RuntimeMetrics, TenantMetrics
+from repro.runtime.metrics import (
+    DeviceMetrics,
+    RuntimeMetrics,
+    TenantMetrics,
+    metric_sink,
+)
 from repro.runtime.scheduler import (
     Placement,
     SchedulingPolicy,
@@ -307,10 +312,7 @@ class BlasRuntime:
         self._gangs_multichassis = 0
         self._work_steals = 0
         self._inter_chassis_cycles = 0
-        chassis_sizes: Dict[int, int] = {}
-        for device in self.devices:
-            chassis_sizes[device.chassis] = \
-                chassis_sizes.get(device.chassis, 0) + 1
+        chassis_sizes = Counter(d.chassis for d in self.devices)
         #: Blades of the largest chassis: a gang wider than this spans
         #: chassis and is charged the RapidArray boundary crossings.
         self._fpgas_per_chassis = max(chassis_sizes.values())
@@ -364,13 +366,9 @@ class BlasRuntime:
         by the shape's feasible width (one blade per B m-block-column)
         and the whole pool — a width beyond one chassis seats across
         chassis over the RapidArray fabric."""
-        if cap is None:
-            cap = (request.max_blades if request.max_blades is not None
-                   else self.max_gang)
-        else:
-            cap = min(cap, request.max_blades
-                      if request.max_blades is not None
-                      else self.max_gang)
+        limit = (request.max_blades if request.max_blades is not None
+                 else self.max_gang)
+        cap = limit if cap is None else min(cap, limit)
         if request.operation != "gemm" or cap <= 1:
             return 1
         a, b = request.operands
@@ -460,7 +458,9 @@ class BlasRuntime:
                 placement = self.policy.select(tuple(self._pending),
                                                free, busy)
             if placement is not None:
-                self._dispatch(placement)
+                self._run_on(placement.devices,
+                             self._collect_batch(placement),
+                             placement.reason)
                 continue
             if rec.enabled and self._pending and free:
                 reason = self.policy.waiting_reason(
@@ -582,7 +582,7 @@ class BlasRuntime:
     def _activate_idle_crashes(self) -> None:
         """Deliver crash events that struck idle blades.
 
-        Crashes inside a dispatched batch are consumed by the dispatch
+        Crashes inside a dispatched pass are consumed by the dispatch
         lookahead; anything still pending once virtual time passes it
         hit a blade with nothing running — it only costs downtime and
         a health strike.
@@ -590,21 +590,20 @@ class BlasRuntime:
         for device in self.devices:
             for event in self._injector.take_crashes(device.name,
                                                      self._now):
-                self._apply_crash(device, event)
+                if self.recorder.enabled:
+                    self.recorder.instant(
+                        "fault.injected", "fault", device.name, event.at,
+                        {"kind": event.kind.value, "device": device.name,
+                         "duration": event.duration})
+                self._take_down(device, event)
 
-    def _apply_crash(self, device: DeviceSlot,
-                     event: FaultEvent) -> None:
+    def _take_down(self, device: DeviceSlot, crash: FaultEvent) -> None:
         """Common crash bookkeeping: downtime window, health strike,
-        trace instant, possible quarantine."""
-        end = event.at + event.duration
-        device.health.add_downtime(event.at, end)
+        possible quarantine."""
+        end = crash.at + crash.duration
+        device.health.add_downtime(crash.at, end)
         device.free_at = max(device.free_at, end)
-        if self.recorder.enabled:
-            self.recorder.instant(
-                "fault.injected", "fault", device.name, event.at,
-                {"kind": event.kind.value, "device": device.name,
-                 "duration": event.duration})
-        self._record_device_fault(device, event.at)
+        self._record_device_fault(device, crash.at)
 
     def _record_device_fault(self, device: DeviceSlot,
                              at: float) -> None:
@@ -646,29 +645,6 @@ class BlasRuntime:
                         {"job": job.job_id, "attempt": attempt,
                          "reason": reason, "backoff": backoff,
                          "retry_at": job.retry_at})
-
-    def _abort_batch(self, device: DeviceSlot, members: List[Job],
-                     crash: FaultEvent) -> None:
-        """A crash cut a dispatched batch short: retry every member
-        that has not completed and take the blade down."""
-        self._injector.consume(crash)
-        if self.recorder.enabled:
-            self.recorder.instant(
-                "fault.injected", "fault", device.name, crash.at,
-                {"kind": crash.kind.value, "device": device.name,
-                 "duration": crash.duration,
-                 "aborted_jobs": [m.job_id for m in members]})
-        for member in members:
-            self._schedule_retry(
-                member, crash.at,
-                f"blade crash on {device.name} at t={crash.at:.6f}s")
-        end = crash.at + crash.duration
-        device.health.add_downtime(crash.at, end)
-        device.free_at = end
-        self._record_device_fault(device, crash.at)
-        if self.recorder.enabled:
-            self.recorder.counter(f"{device.name}:busy", device.name,
-                                  crash.at, 0)
 
     def _try_degrade(self, job: Job,
                      alive: List[DeviceSlot]) -> bool:
@@ -737,13 +713,19 @@ class BlasRuntime:
         return progressed
 
     # -- dispatch --------------------------------------------------------
-    def _collect_batch(self, lead: Job) -> List[Job]:
+    def _collect_batch(self, placement: Placement) -> List[Job]:
+        """Take the placed job off the queue together with the waiting
+        same-shape gemm jobs that join its pass.  Gangs run alone: a
+        gang pass runs a different design on a different number of
+        blades, so the shared-overhead accounting would be wrong for
+        followers."""
+        lead = placement.job
+        self._pending.remove(lead)
         batch = [lead]
-        if self.batching and lead.request.operation == "gemm":
+        if (self.batching and lead.request.operation == "gemm"
+                and len(placement.devices) == 1
+                and lead.plan.blades_required == 1):
             key = lead.request.shape_key()
-            # Gang-planned jobs never join a batch: their pass runs a
-            # different design on a different number of blades, so the
-            # shared-overhead accounting would be wrong for them.
             followers = sorted(
                 (j for j in self._pending
                  if j.request.shape_key() == key
@@ -754,204 +736,71 @@ class BlasRuntime:
             batch.extend(followers)
         return batch
 
-    def _dispatch(self, placement: Placement) -> None:
-        if (len(placement.devices) > 1
-                or placement.job.plan.blades_required > 1):
-            self._dispatch_gang(placement)
-            return
-        job, device = placement.job, placement.device
-        rec = self.recorder
-        injector = self._injector
-        self._pending.remove(job)
-        batch = self._collect_batch(job)
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
+    def _run_on(self, devices: Tuple[DeviceSlot, ...],
+                members: List[Job], reason: str) -> None:
+        """Run one pass of ``members`` on ``devices``.
 
-        start = self._now
-        if placement.reason == "work-steal":
-            self._work_steals += 1
-            if rec.enabled:
-                rec.instant("work.stolen", "scheduler", device.name,
-                            start,
-                            {"job": job.job_id,
-                             "home_chassis": job.request.home_chassis,
-                             "stolen_by_chassis": device.chassis,
-                             "device": device.name})
-        clock = start
-        if rec.enabled:
-            self._sample_depth()
-            rec.instant("scheduler.place", "scheduler", "scheduler",
-                        start,
-                        {"job": job.job_id, "device": device.name,
-                         "policy": self.policy.name,
-                         "reason": placement.reason,
-                         "design": job.plan.design_key,
-                         "batch_id": batch_id,
-                         "batch_size": len(batch)})
-            if len(batch) > 1:
-                rec.instant("batch.formed", "batch", "scheduler", start,
-                            {"batch_id": batch_id,
-                             "lead": job.job_id,
-                             "members": [m.job_id for m in batch],
-                             "design": job.plan.design_key})
-        for member in batch:
-            member.device = device.name
-            member.batch_id = batch_id
-            member.transition(JobState.PLACED, start)
-        if (injector is not None
-                and not device.has_resident(job.plan.design_key)):
-            # A transient load failure only makes sense when a real
-            # bitstream load is about to happen; with the design
-            # already resident the event stays queued for the next one.
-            clock = self._faulty_reconfig_attempts(device, clock)
-        if device.configure(job.plan.design_key, job.plan.area.slices):
-            if rec.enabled:
-                for evicted in device.last_evicted:
-                    rec.instant("reconfig.evict", "reconfig",
-                                device.name, start,
-                                {"design": evicted,
-                                 "for": job.plan.design_key})
-                rec.instant("reconfig.load", "reconfig", device.name,
-                            start,
-                            {"design": job.plan.design_key,
-                             "bytes": RECONFIG_BITSTREAM_BYTES,
-                             "seconds": self.reconfig_seconds})
-                rec.span(f"reconfig:{job.plan.design_key}", "reconfig",
-                         device.name, clock,
-                         clock + self.reconfig_seconds,
-                         {"design": job.plan.design_key,
-                          "evicted": list(device.last_evicted)})
-            clock += self.reconfig_seconds
-            device.metrics.reconfigurations += 1
-            device.metrics.reconfig_seconds += self.reconfig_seconds
-        overhead = 0
-        if len(batch) > 1:
-            overhead = api.gemm_fixed_overhead_cycles(job.plan.k,
-                                                      job.plan.m)
-
-        if rec.enabled:
-            rec.counter(f"{device.name}:busy", device.name, start, 1)
-        for i, member in enumerate(batch):
-            run_start = clock
-            if injector is not None:
-                crash = injector.peek_crash(device.name, start, run_start)
-                if crash is not None:
-                    # The blade died before this member (and the rest
-                    # of the batch) got to run.
-                    self._abort_batch(device, batch[i:], crash)
-                    break
-            member.transition(JobState.RUNNING, run_start)
-            if rec.enabled:
-                wait_from = (member.retry_at if member.retries
-                             else member.submitted_at)
-                rec.span(f"job{member.job_id}:wait", "queue", "queue",
-                         wait_from, run_start,
-                         {"job": member.job_id,
-                          "operation": member.request.operation,
-                          "attempt": member.retries + 1})
-            try:
-                outcome = self._execute(member.request)
-                result, report = outcome.value, outcome.report
-            except (ValueError, MemoryError, SimulationError) as exc:
-                member.fail(clock, f"{type(exc).__name__}: {exc}")
-                if rec.enabled:
-                    rec.instant("job.failed", "lifecycle", device.name,
-                                clock, {"job": member.job_id,
-                                        "error": member.error})
-                continue
-            cycles = report.total_cycles - (overhead if i else 0)
-            cycles = max(1, cycles)
-            seconds = cycles / (report.clock_mhz * 1e6)
-            if injector is not None:
-                seconds = self._apply_stalls(device, member, run_start,
-                                             seconds)
-                end = run_start + seconds
-                crash = injector.peek_crash(device.name, start, end)
-                if crash is not None:
-                    # The blade died under this member mid-run; it and
-                    # every batch member behind it retry elsewhere.
-                    self._abort_batch(device, batch[i:], crash)
-                    break
-                result = self._apply_corruption(device, member, result,
-                                                end)
-            if self.verify_results and self._verify_failed(
-                    device, member, result, run_start + seconds):
-                # The blade still spent the whole attempt producing the
-                # discarded result: charge its time before moving on.
-                clock = run_start + seconds
-                device.metrics.busy_seconds += seconds
-                continue
-            clock = run_start + seconds
-            member.charged_cycles = cycles
-            member.charged_seconds = seconds
-            member.result = result
-            member.report = report
-            member.transition(JobState.DONE, clock)
-            if rec.enabled:
-                member.run_span_id = rec.span(
-                    f"job{member.job_id}:{member.request.operation}",
-                    "job", device.name, run_start, clock,
-                    {"job": member.job_id,
-                     "operation": member.request.operation,
-                     "batch_id": batch_id,
-                     "predicted_cycles": member.plan.predicted_cycles,
-                     "executed_cycles": report.total_cycles,
-                     "charged_cycles": cycles,
-                     "flops": report.flops})
-            device.metrics.jobs_completed += 1
-            device.metrics.busy_seconds += seconds
-            device.metrics.flops += report.flops
-        else:
-            device.free_at = clock
-            if rec.enabled:
-                rec.counter(f"{device.name}:busy", device.name, clock, 0)
-        device.metrics.batches += 1
-
-    # -- gang dispatch ---------------------------------------------------
-    def _dispatch_gang(self, placement: Placement) -> None:
-        """Run one gang-planned gemm across ``placement.devices``.
-
-        Every member charges reconfiguration for the per-gang
-        bitstream; the pass starts when the slowest member finishes
-        configuring and charges the multi-FPGA timing model
-        (n³/(k·l) effective latency) as busy time on *every* member.
-        A crash of any member aborts the whole gang and retries it at
-        half the width.  The placed width may differ from the planned
-        one (chassis fallback): the job is re-planned at the actual
-        width first, so plan-vs-actual drift stays exact.
+        A batch is several same-shape members on one blade; a gang is
+        one member on the ``l`` blades of the Section 5.2 linear array.
+        Every blade charges the reconfiguration for the pass's
+        bitstream, the pass starts when the slowest one is configured,
+        and each member then occupies every blade for its simulated
+        duration (batch followers skip the pass-fixed overhead the lead
+        pays).  A crash on any blade aborts the members not yet done.
+        The placed width may differ from the planned one (chassis
+        fallback): the job is re-planned at the actual width first, so
+        plan-vs-actual drift stays exact.
         """
-        job = placement.job
-        devices = placement.devices
+        job = members[0]
         rec = self.recorder
         injector = self._injector
-        self._pending.remove(job)
-        start = self._now
         width = len(devices)
+        lead = devices[0]
+        names = [d.name for d in devices]
+        # The gang trace fields follow the plan as well as the width: a
+        # gang-planned job seated on one blade still carries them.
+        gang = width > 1 or job.plan.blades_required > 1
         if width != job.plan.blades_required:
             job.plan = self._call(job.request, blades=width).plan()
         plan = job.plan
         key = plan.design_key
         batch_id = self._next_batch_id
         self._next_batch_id += 1
-        lead = devices[0]
-        lead.metrics.batches += 1
+        chassis_span = len({d.chassis for d in devices})
+
+        start = self._now
+        if reason == "work-steal":
+            self._work_steals += 1
+            if rec.enabled:
+                rec.instant("work.stolen", "scheduler", lead.name, start,
+                            {"job": job.job_id,
+                             "home_chassis": job.request.home_chassis,
+                             "stolen_by_chassis": lead.chassis,
+                             "device": lead.name})
         if rec.enabled:
             self._sample_depth()
             rec.instant("scheduler.place", "scheduler", "scheduler",
                         start,
                         {"job": job.job_id, "device": lead.name,
                          "policy": self.policy.name,
-                         "reason": placement.reason,
+                         "reason": reason,
                          "design": key,
                          "batch_id": batch_id,
-                         "batch_size": 1,
-                         "gang": [d.name for d in devices]})
-        job.device = lead.name
-        job.gang_devices = [d.name for d in devices]
-        job.gang_size = width
-        job.batch_id = batch_id
-        job.transition(JobState.PLACED, start)
-        chassis_span = len({d.chassis for d in devices})
+                         "batch_size": len(members),
+                         **({"gang": names} if gang else {})})
+            if len(members) > 1:
+                rec.instant("batch.formed", "batch", "scheduler", start,
+                            {"batch_id": batch_id,
+                             "lead": job.job_id,
+                             "members": [m.job_id for m in members],
+                             "design": key})
+        for member in members:
+            member.device = lead.name
+            member.batch_id = batch_id
+            if gang:
+                member.gang_devices = names
+                member.gang_size = width
+            member.transition(JobState.PLACED, start)
         if width > 1:
             self._gangs_formed += 1
             if chassis_span > 1:
@@ -959,19 +808,21 @@ class BlasRuntime:
             if rec.enabled:
                 rec.instant("gang.formed", "gang", "scheduler", start,
                             {"job": job.job_id, "blades": width,
-                             "members": [d.name for d in devices],
+                             "members": names,
                              "design": key,
                              "chassis": chassis_span,
                              "inter_chassis_cycles":
                                  plan.inter_chassis_cycles})
-        # Configure every member; the array cannot stream until its
-        # slowest member holds the bitstream.
-        run_start = start
+        # Configure every blade; the array cannot stream until its
+        # slowest blade holds the bitstream.
+        clock = start
         for device in devices:
-            member_clock = start
+            loaded = start
             if injector is not None and not device.has_resident(key):
-                member_clock = self._faulty_reconfig_attempts(
-                    device, member_clock)
+                # A transient load failure only makes sense when a real
+                # bitstream load is about to happen; with the design
+                # already resident the event stays queued for the next.
+                loaded = self._faulty_reconfig_attempts(device, loaded)
             if device.configure(key, plan.area.slices):
                 if rec.enabled:
                     for evicted in device.last_evicted:
@@ -984,143 +835,139 @@ class BlasRuntime:
                                  "bytes": RECONFIG_BITSTREAM_BYTES,
                                  "seconds": self.reconfig_seconds})
                     rec.span(f"reconfig:{key}", "reconfig",
-                             device.name, member_clock,
-                             member_clock + self.reconfig_seconds,
+                             device.name, loaded,
+                             loaded + self.reconfig_seconds,
                              {"design": key,
                               "evicted": list(device.last_evicted)})
-                member_clock += self.reconfig_seconds
+                loaded += self.reconfig_seconds
                 device.metrics.reconfigurations += 1
                 device.metrics.reconfig_seconds += self.reconfig_seconds
-            run_start = max(run_start, member_clock)
+            clock = max(clock, loaded)
+        overhead = 0
+        if len(members) > 1:
+            overhead = api.gemm_fixed_overhead_cycles(plan.k, plan.m)
+
         if rec.enabled:
             for device in devices:
-                rec.counter(f"{device.name}:busy", device.name,
-                            start, 1)
-        if injector is not None:
-            crash, victim = self._earliest_gang_crash(devices, start,
-                                                      run_start)
-            if crash is not None:
-                # A member died while the gang was still configuring.
-                self._abort_gang(job, devices, victim, crash)
-                return
-        job.transition(JobState.RUNNING, run_start)
-        if rec.enabled:
-            wait_from = (job.retry_at if job.retries
-                         else job.submitted_at)
-            rec.span(f"job{job.job_id}:wait", "queue", "queue",
-                     wait_from, run_start,
-                     {"job": job.job_id,
-                      "operation": job.request.operation,
-                      "attempt": job.retries + 1})
-        try:
-            outcome = self._execute(job.request, blades=width)
-            result, report = outcome.value, outcome.report
-        except (ValueError, MemoryError, SimulationError) as exc:
-            job.fail(run_start, f"{type(exc).__name__}: {exc}")
+                rec.counter(f"{device.name}:busy", device.name, start, 1)
+        for i, member in enumerate(members):
+            run_start = clock
+            if injector is not None and self._abort_if_crashed(
+                    devices, members[i:], gang, start, run_start):
+                # A blade died before this member (and the rest of the
+                # batch) got to run.
+                break
+            member.transition(JobState.RUNNING, run_start)
             if rec.enabled:
-                rec.instant("job.failed", "lifecycle", lead.name,
-                            run_start,
-                            {"job": job.job_id, "error": job.error})
-            for device in devices:
-                device.free_at = run_start
+                wait_from = (member.retry_at if member.retries
+                             else member.submitted_at)
+                rec.span(f"job{member.job_id}:wait", "queue", "queue",
+                         wait_from, run_start,
+                         {"job": member.job_id,
+                          "operation": member.request.operation,
+                          "attempt": member.retries + 1})
+            try:
+                outcome = self._execute(member.request, blades=width)
+                result, report = outcome.value, outcome.report
+            except (ValueError, MemoryError, SimulationError) as exc:
+                member.fail(clock, f"{type(exc).__name__}: {exc}")
                 if rec.enabled:
-                    rec.counter(f"{device.name}:busy", device.name,
-                                run_start, 0)
-            return
-        cycles = report.total_cycles
-        seconds = cycles / (report.clock_mhz * 1e6)
-        if injector is not None:
-            # A stall on any member stretches the whole pass: the
-            # array is a pipeline, so the slowest link sets the pace.
-            for device in devices:
-                seconds = self._apply_stalls(device, job, run_start,
-                                             seconds)
-            crash, victim = self._earliest_gang_crash(
-                devices, start, run_start + seconds)
-            if crash is not None:
-                self._abort_gang(job, devices, victim, crash)
-                return
-            end = run_start + seconds
-            for device in devices:
-                result = self._apply_corruption(device, job, result,
-                                                end)
-        end = run_start + seconds
-        if self.verify_results and self._verify_failed(lead, job,
-                                                       result, end):
-            # Every member spent the whole attempt producing the
-            # discarded result: charge the gang's time before retrying.
+                    rec.instant("job.failed", "lifecycle", lead.name,
+                                clock, {"job": member.job_id,
+                                        "error": member.error})
+                continue
+            cycles = report.total_cycles - (overhead if i else 0)
+            cycles = max(1, cycles)
+            seconds = cycles / (report.clock_mhz * 1e6)
+            if injector is not None:
+                # A stall on any blade stretches the whole pass: the
+                # array is a pipeline, so the slowest link sets the pace.
+                for device in devices:
+                    seconds = self._apply_stalls(device, member,
+                                                 run_start, seconds)
+                end = run_start + seconds
+                if self._abort_if_crashed(devices, members[i:], gang,
+                                          start, end):
+                    # A blade died under this member mid-run; it and
+                    # every batch member behind it retry elsewhere.
+                    break
+                for device in devices:
+                    result = self._apply_corruption(device, member,
+                                                    result, end)
+            clock = run_start + seconds
+            if self.verify_results and self._verify_failed(
+                    lead, member, result, clock):
+                # The blades still spent the whole attempt producing the
+                # discarded result: charge their time before moving on.
+                for device in devices:
+                    device.metrics.busy_seconds += seconds
+                continue
+            member.charged_cycles = cycles
+            member.charged_seconds = seconds
+            member.result = result
+            member.report = report
+            member.transition(JobState.DONE, clock)
+            if rec.enabled:
+                member.run_span_id = rec.span(
+                    f"job{member.job_id}:{member.request.operation}",
+                    "job", lead.name, run_start, clock,
+                    {"job": member.job_id,
+                     "operation": member.request.operation,
+                     "batch_id": batch_id,
+                     **({"gang": width, "chassis": chassis_span}
+                        if gang else {}),
+                     "predicted_cycles": member.plan.predicted_cycles,
+                     "executed_cycles": report.total_cycles,
+                     "charged_cycles": cycles,
+                     **({"inter_chassis_cycles":
+                         plan.inter_chassis_cycles} if gang else {}),
+                     "flops": report.flops})
+                if gang:
+                    for index, device in enumerate(devices):
+                        rec.span(f"job{member.job_id}:gang[{index}]",
+                                 "gang", device.name, run_start, clock,
+                                 {"job": member.job_id,
+                                  "member": index,
+                                  "of": width,
+                                  "device": device.name},
+                                 parent_id=member.run_span_id)
+            # The member completes once (on the lead) and its flops
+            # split across the blades that earned them.
+            flops_share = report.flops // width
             for device in devices:
                 device.metrics.busy_seconds += seconds
-                device.free_at = end
+                device.metrics.flops += flops_share
+                if width > 1:
+                    device.metrics.gang_jobs += 1
+            lead.metrics.flops += report.flops - flops_share * width
+            lead.metrics.jobs_completed += 1
+            self._inter_chassis_cycles += plan.inter_chassis_cycles
+        else:
+            for device in devices:
+                device.free_at = clock
                 if rec.enabled:
                     rec.counter(f"{device.name}:busy", device.name,
-                                end, 0)
-            return
-        job.charged_cycles = cycles
-        job.charged_seconds = seconds
-        job.result = result
-        job.report = report
-        job.transition(JobState.DONE, end)
-        self._inter_chassis_cycles += plan.inter_chassis_cycles
-        if rec.enabled:
-            job.run_span_id = rec.span(
-                f"job{job.job_id}:{job.request.operation}",
-                "job", lead.name, run_start, end,
-                {"job": job.job_id,
-                 "operation": job.request.operation,
-                 "batch_id": batch_id,
-                 "gang": width,
-                 "chassis": chassis_span,
-                 "predicted_cycles": plan.predicted_cycles,
-                 "executed_cycles": report.total_cycles,
-                 "charged_cycles": cycles,
-                 "inter_chassis_cycles": plan.inter_chassis_cycles,
-                 "flops": report.flops})
-            for member_index, device in enumerate(devices):
-                rec.span(f"job{job.job_id}:gang[{member_index}]",
-                         "gang", device.name, run_start, end,
-                         {"job": job.job_id,
-                          "member": member_index,
-                          "of": width,
-                          "device": device.name},
-                         parent_id=job.run_span_id)
-        # Completion and flops stay consistent with the aggregate
-        # invariants: the job completes once (on the lead) and its
-        # flops split across the members that earned them.
-        flops_share = report.flops // width
-        for member_index, device in enumerate(devices):
-            device.metrics.busy_seconds += seconds
-            device.free_at = end
-            device.metrics.flops += flops_share
-            if member_index == 0:
-                device.metrics.flops += report.flops - flops_share * width
-            if width > 1:
-                device.metrics.gang_jobs += 1
-            if rec.enabled:
-                rec.counter(f"{device.name}:busy", device.name, end, 0)
-        lead.metrics.jobs_completed += 1
+                                clock, 0)
+        lead.metrics.batches += 1
 
-    def _earliest_gang_crash(self, devices: Tuple[DeviceSlot, ...],
-                             after: float, before: float):
-        """First crash due on any gang member strictly inside
-        ``(after, before)`` — ties break on member order, so replays
-        are deterministic."""
-        best = None
-        victim = None
+    def _abort_if_crashed(self, devices: Tuple[DeviceSlot, ...],
+                          members: List[Job], gang: bool,
+                          after: float, before: float) -> bool:
+        """Abort the pass if a crash is due on any of its blades
+        strictly inside ``(after, before)``.
+
+        The earliest crash wins, ties breaking on blade order so replays
+        are deterministic.  Its blade takes the downtime and health
+        strike, the others free immediately, and every member not yet
+        done retries; a gang retries at half its width (degrading
+        toward ``l=1`` rather than re-forming the doomed gang)."""
+        crash = victim = None
         for device in devices:
-            crash = self._injector.peek_crash(device.name, after,
-                                              before)
-            if crash is not None and (best is None
-                                      or crash.at < best.at):
-                best, victim = crash, device
-        return best, victim
-
-    def _abort_gang(self, job: Job, devices: Tuple[DeviceSlot, ...],
-                    victim: DeviceSlot, crash: FaultEvent) -> None:
-        """A member crash kills the whole pass: the victim takes the
-        downtime and health strike, the survivors free immediately,
-        and the job retries at half the gang width (degrading toward
-        ``l=1`` rather than re-forming the doomed gang)."""
+            due = self._injector.peek_crash(device.name, after, before)
+            if due is not None and (crash is None or due.at < crash.at):
+                crash, victim = due, device
+        if crash is None:
+            return False
         self._injector.consume(crash)
         rec = self.recorder
         if rec.enabled:
@@ -1128,10 +975,12 @@ class BlasRuntime:
                 "fault.injected", "fault", victim.name, crash.at,
                 {"kind": crash.kind.value, "device": victim.name,
                  "duration": crash.duration,
-                 "aborted_jobs": [job.job_id],
-                 "gang": [d.name for d in devices]})
+                 "aborted_jobs": [m.job_id for m in members],
+                 **({"gang": [d.name for d in devices]} if gang
+                    else {})})
         width = len(devices)
         if width > 1:
+            job = members[0]
             job.gang_limit = max(1, width // 2)
             self._gangs_degraded += 1
             try:
@@ -1144,19 +993,19 @@ class BlasRuntime:
                     {"job": job.job_id, "from_blades": width,
                      "to_blades": job.plan.blades_required,
                      "crashed": victim.name})
-        self._schedule_retry(
-            job, crash.at,
-            f"gang member crash on {victim.name} at t={crash.at:.6f}s")
-        end = crash.at + crash.duration
-        victim.health.add_downtime(crash.at, end)
-        victim.free_at = end
-        self._record_device_fault(victim, crash.at)
+        cause = "gang member crash" if gang else "blade crash"
+        for member in members:
+            self._schedule_retry(
+                member, crash.at,
+                f"{cause} on {victim.name} at t={crash.at:.6f}s")
+        self._take_down(victim, crash)
         for device in devices:
             if device is not victim:
                 device.free_at = crash.at
             if rec.enabled:
                 rec.counter(f"{device.name}:busy", device.name,
                             crash.at, 0)
+        return True
 
     def _faulty_reconfig_attempts(self, device: DeviceSlot,
                                   clock: float) -> float:
@@ -1245,14 +1094,14 @@ class BlasRuntime:
 
     # -- reporting -------------------------------------------------------
     def _build_metrics(self) -> RuntimeMetrics:
+        bounded = self.bounded_metrics
         done = [j for j in self._jobs if j.state is JobState.DONE]
+        states = Counter(j.state for j in self._jobs)
         finish_times = [j.finished_at for j in self._jobs
                         if j.finished_at is not None]
         makespan = max(finish_times, default=0.0)
-        blades_per_job: Dict[str, int] = {}
-        for job in done:
-            width = str(job.gang_size or 1)
-            blades_per_job[width] = blades_per_job.get(width, 0) + 1
+        blades_per_job = dict(Counter(str(j.gang_size or 1)
+                                      for j in done))
         for device in self.devices:
             device.metrics.resident_designs = list(device.resident)
             device.metrics.faults = device.health.fault_count
@@ -1267,12 +1116,13 @@ class BlasRuntime:
                 continue
             bucket = tenants.setdefault(
                 name, TenantMetrics(name=name,
-                                    bounded=self.bounded_metrics))
+                                    wait=metric_sink(bounded),
+                                    latency=metric_sink(bounded)))
             bucket.jobs_submitted += 1
             if job.state is JobState.DONE:
                 bucket.jobs_completed += 1
-                bucket.observe_wait(job.waiting_seconds)
-                bucket.observe_latency(job.latency_seconds)
+                bucket.wait.observe(job.waiting_seconds)
+                bucket.latency.observe(job.latency_seconds)
             elif job.state is JobState.FAILED:
                 bucket.jobs_failed += 1
             elif job.state is JobState.REJECTED:
@@ -1283,14 +1133,13 @@ class BlasRuntime:
             makespan_seconds=makespan,
             jobs_submitted=len(self._jobs),
             jobs_completed=len(done),
-            jobs_failed=sum(1 for j in self._jobs
-                            if j.state is JobState.FAILED),
-            jobs_rejected=sum(1 for j in self._jobs
-                              if j.state is JobState.REJECTED),
+            jobs_failed=states[JobState.FAILED],
+            jobs_rejected=states[JobState.REJECTED],
             batches=self._next_batch_id,
             deadline_misses=sum(1 for j in done if j.missed_deadline),
             total_flops=sum(j.report.flops for j in done),
-            bounded=self.bounded_metrics,
+            wait=metric_sink(bounded),
+            latency=metric_sink(bounded),
             max_queue_depth=self._max_depth,
             mean_queue_depth=(self._depth_area / makespan
                               if makespan > 0 else 0.0),
@@ -1319,8 +1168,8 @@ class BlasRuntime:
             tenants=tenants,
         )
         for job in done:
-            metrics.observe_wait(job.waiting_seconds)
-            metrics.observe_latency(job.latency_seconds)
+            metrics.wait.observe(job.waiting_seconds)
+            metrics.latency.observe(job.latency_seconds)
         return metrics
 
     @property

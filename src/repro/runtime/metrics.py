@@ -10,38 +10,13 @@ the ``repro runtime`` CLI prints.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
-from repro.obs.metrics import Histogram
+from repro.obs.metrics import ExactSamples, Sink, metric_sink, percentile
 
-
-def percentile(values: Sequence[float], pct: float) -> float:
-    """Linear-interpolation percentile (deterministic, numpy-free so
-    the schema does not depend on numpy version behavior).
-
-    This is the repo's *single* exact percentile implementation
-    (``repro.serve.loadgen`` re-exports it).  It needs the full value
-    list, so it is O(requests) memory — long-lived paths should
-    prefer the bounded-error histogram quantiles that
-    ``TenantMetrics``/``RuntimeMetrics`` switch to in bounded mode
-    (``BlasRuntime(bounded_metrics=True)``); keep this for tests and
-    offline reports where exactness matters."""
-    if not 0.0 <= pct <= 100.0:
-        raise ValueError("pct must be in [0, 100]")
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    if len(ordered) == 1:
-        return ordered[0]
-    rank = (len(ordered) - 1) * pct / 100.0
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
-    frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+__all__ = ["percentile", "metric_sink", "DeviceMetrics", "TenantMetrics",
+           "RuntimeMetrics"]
 
 
 @dataclass
@@ -112,70 +87,22 @@ class TenantMetrics:
     #: Submissions the serve layer refused before the executor ever
     #: saw them (token-bucket quota exhausted).
     quota_throttles: int = 0
-    wait_seconds: List[float] = field(default_factory=list)
-    latency_seconds: List[float] = field(default_factory=list)
-    #: Bounded mode: keep O(1) log-bucket histograms instead of the
-    #: full value lists — percentiles come from
-    #: :meth:`repro.obs.metrics.Histogram.quantile` (within its
-    #: documented relative error) and the lists stay empty.
-    bounded: bool = False
-    wait_hist: Optional[Histogram] = None
-    latency_hist: Optional[Histogram] = None
-
-    def __post_init__(self) -> None:
-        if self.bounded:
-            if self.wait_hist is None:
-                self.wait_hist = Histogram()
-            if self.latency_hist is None:
-                self.latency_hist = Histogram()
-
-    def observe_wait(self, seconds: float) -> None:
-        if self.bounded:
-            self.wait_hist.observe(seconds)
-        else:
-            self.wait_seconds.append(seconds)
-
-    def observe_latency(self, seconds: float) -> None:
-        if self.bounded:
-            self.latency_hist.observe(seconds)
-        else:
-            self.latency_seconds.append(seconds)
-
-    def wait_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.wait_hist.quantile(pct / 100.0)
-        return percentile(self.wait_seconds, pct)
-
-    def latency_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.latency_hist.quantile(pct / 100.0)
-        return percentile(self.latency_seconds, pct)
+    #: Waits and latencies of completed jobs (see :func:`metric_sink`).
+    wait: Sink = field(default_factory=ExactSamples)
+    latency: Sink = field(default_factory=ExactSamples)
 
     def merge_from(self, other: "TenantMetrics") -> None:
         """Fold another tenant block (e.g. one epoch's) into this one.
 
-        Works across modes: bounded ← bounded merges histograms
-        exactly (equal boundaries), bounded ← unbounded observes the
-        other's values, unbounded ← unbounded extends the lists."""
+        Works across modes as the sinks do: a histogram folds in a
+        histogram or exact samples, exact samples only exact samples."""
         self.jobs_submitted += other.jobs_submitted
         self.jobs_completed += other.jobs_completed
         self.jobs_failed += other.jobs_failed
         self.jobs_rejected += other.jobs_rejected
         self.quota_throttles += other.quota_throttles
-        if self.bounded:
-            if other.bounded:
-                self.wait_hist.merge(other.wait_hist)
-                self.latency_hist.merge(other.latency_hist)
-            else:
-                self.wait_hist.observe_many(other.wait_seconds)
-                self.latency_hist.observe_many(other.latency_seconds)
-        elif other.bounded:
-            raise ValueError(
-                "cannot merge a bounded tenant block into an "
-                "unbounded one (the exact values are gone)")
-        else:
-            self.wait_seconds.extend(other.wait_seconds)
-            self.latency_seconds.extend(other.latency_seconds)
+        self.wait.merge(other.wait)
+        self.latency.merge(other.latency)
 
     def to_dict(self) -> Dict:
         return {
@@ -188,12 +115,12 @@ class TenantMetrics:
                 "quota_throttles": self.quota_throttles,
             },
             "wait_seconds": {
-                "p50": self.wait_percentile(50),
-                "p99": self.wait_percentile(99),
+                "p50": self.wait.percentile(50),
+                "p99": self.wait.percentile(99),
             },
             "latency_seconds": {
-                "p50": self.latency_percentile(50),
-                "p99": self.latency_percentile(99),
+                "p50": self.latency.percentile(50),
+                "p99": self.latency.percentile(99),
             },
         }
 
@@ -212,13 +139,9 @@ class RuntimeMetrics:
     batches: int
     deadline_misses: int
     total_flops: int
-    wait_seconds: List[float] = field(default_factory=list)
-    latency_seconds: List[float] = field(default_factory=list)
-    #: Bounded mode (see :class:`TenantMetrics`): histogram-backed
-    #: percentiles, empty lists, O(1) memory per run.
-    bounded: bool = False
-    wait_hist: Optional[Histogram] = None
-    latency_hist: Optional[Histogram] = None
+    #: Waits and latencies of completed jobs (see :func:`metric_sink`).
+    wait: Sink = field(default_factory=ExactSamples)
+    latency: Sink = field(default_factory=ExactSamples)
     max_queue_depth: int = 0
     mean_queue_depth: float = 0.0
     #: Fault-plane accounting (all zero on a fault-free run).
@@ -248,25 +171,6 @@ class RuntimeMetrics:
     #: from ``to_dict``/``summary``) unless requests carried tenants.
     tenants: Dict[str, TenantMetrics] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.bounded:
-            if self.wait_hist is None:
-                self.wait_hist = Histogram()
-            if self.latency_hist is None:
-                self.latency_hist = Histogram()
-
-    def observe_wait(self, seconds: float) -> None:
-        if self.bounded:
-            self.wait_hist.observe(seconds)
-        else:
-            self.wait_seconds.append(seconds)
-
-    def observe_latency(self, seconds: float) -> None:
-        if self.bounded:
-            self.latency_hist.observe(seconds)
-        else:
-            self.latency_seconds.append(seconds)
-
     # -- derived ---------------------------------------------------------
     @property
     def sustained_gflops(self) -> float:
@@ -280,16 +184,6 @@ class RuntimeMetrics:
         if self.makespan_seconds <= 0.0:
             return 0.0
         return self.jobs_completed / self.makespan_seconds
-
-    def wait_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.wait_hist.quantile(pct / 100.0)
-        return percentile(self.wait_seconds, pct)
-
-    def latency_percentile(self, pct: float) -> float:
-        if self.bounded:
-            return self.latency_hist.quantile(pct / 100.0)
-        return percentile(self.latency_seconds, pct)
 
     @property
     def mean_utilization(self) -> float:
@@ -313,12 +207,12 @@ class RuntimeMetrics:
                 "deadline_misses": self.deadline_misses,
             },
             "latency_seconds": {
-                "p50": self.latency_percentile(50),
-                "p99": self.latency_percentile(99),
+                "p50": self.latency.percentile(50),
+                "p99": self.latency.percentile(99),
             },
             "wait_seconds": {
-                "p50": self.wait_percentile(50),
-                "p99": self.wait_percentile(99),
+                "p50": self.wait.percentile(50),
+                "p99": self.wait.percentile(99),
             },
             "queue_depth": {
                 "max": self.max_queue_depth,
@@ -367,8 +261,8 @@ class RuntimeMetrics:
             f"makespan {self.makespan_seconds * 1e3:.3f} ms  "
             f"aggregate {self.sustained_gflops:.3f} GFLOPS  "
             f"({self.throughput_jobs_per_s:.0f} jobs/s)",
-            f"latency p50/p99 {self.latency_percentile(50) * 1e3:.3f}/"
-            f"{self.latency_percentile(99) * 1e3:.3f} ms  "
+            f"latency p50/p99 {self.latency.percentile(50) * 1e3:.3f}/"
+            f"{self.latency.percentile(99) * 1e3:.3f} ms  "
             f"queue depth max/mean {self.max_queue_depth}/"
             f"{self.mean_queue_depth:.1f}",
         ]
@@ -410,8 +304,8 @@ class RuntimeMetrics:
                     f"{name:<16} {t.jobs_submitted:>5} "
                     f"{t.jobs_completed:>5} {t.jobs_rejected:>4} "
                     f"{t.quota_throttles:>9} "
-                    f"{t.latency_percentile(50) * 1e3:>11.3f} "
-                    f"{t.latency_percentile(99) * 1e3:>11.3f}")
+                    f"{t.latency.percentile(50) * 1e3:>11.3f} "
+                    f"{t.latency.percentile(99) * 1e3:>11.3f}")
         lines.append(
             f"{'blade':<24} {'jobs':>5} {'util %':>7} {'busy ms':>9} "
             f"{'reconf':>6} {'reconf ms':>10}")

@@ -49,12 +49,11 @@ from repro.obs.slo import SloMonitor, SloSpec
 from repro.runtime.clock import make_clock
 from repro.runtime.executor import BlasRuntime
 from repro.runtime.job import BlasRequest, Job, JobState
-from repro.runtime.metrics import TenantMetrics, percentile
+from repro.runtime.metrics import TenantMetrics, metric_sink
 from repro.serve import protocol
 from repro.serve.coalescer import CoalesceStats, coalesce
 from repro.serve.tenant import (AdmissionController, TenantQuota,
                                 weighted_deficit_order)
-from repro.sim.engine import SimulationError
 from repro.sim.fast import resolve_sim_mode
 from repro.workloads import poisson_2d
 
@@ -408,24 +407,19 @@ class BlasService:
             sim_mode=self.config.sim_mode,
             clock=make_clock(self.config.clock_mode,
                              self.config.time_scale))
-        costs = []
-        for call, request in zip(calls, requests):
-            try:
-                seconds = runtime._plan(request).predicted_seconds
-            except (ValueError, MemoryError, SimulationError):
-                seconds = 0.0  # submit() will fail the job properly
-            costs.append((call.tenant, seconds))
+        epoch_start = min(release)
+        jobs = [runtime.submit(request, at=release[index] - epoch_start)
+                for index, request in enumerate(requests)]
+        # A job that failed planning has no plan and costs nothing.
+        costs = [(call.tenant, job.plan.predicted_seconds
+                  if job.plan is not None else 0.0)
+                 for call, job in zip(calls, jobs)]
         order = weighted_deficit_order(costs, self.admission.weights)
         # rank 0 serves first; the executor orders by priority
-        # descending, so rank maps to priority = -rank.
-        rank_of = {entry_index: rank
-                   for rank, entry_index in enumerate(order)}
-        epoch_start = min(release)
-        jobs: List[Job] = []
-        for index, (call, request) in enumerate(zip(calls, requests)):
-            request.priority = -rank_of[index]
-            jobs.append(runtime.submit(
-                request, at=release[index] - epoch_start))
+        # descending and reads it only when it runs, so rank maps to
+        # priority = -rank.
+        for rank, index in enumerate(order):
+            requests[index].priority = -rank
         metrics = runtime.run()
         self._makespan_total += metrics.makespan_seconds
         self._jobs_completed += metrics.jobs_completed
@@ -433,8 +427,7 @@ class BlasService:
         self._jobs_rejected += metrics.jobs_rejected
         for name, epoch_tenant in metrics.tenants.items():
             total = self._tenant_totals.setdefault(
-                name, TenantMetrics(
-                    name=name, bounded=self.config.bounded_metrics))
+                name, self._tenant_metrics(name))
             total.merge_from(epoch_tenant)
         self._observe_epoch(calls, jobs, runtime, metrics, stats,
                             epoch_start)
@@ -531,20 +524,24 @@ class BlasService:
         return entry
 
     # -- reporting -------------------------------------------------------
+    def _tenant_metrics(self, name: str) -> TenantMetrics:
+        bounded = self.config.bounded_metrics
+        return TenantMetrics(name=name, wait=metric_sink(bounded),
+                             latency=metric_sink(bounded))
+
     def metrics(self) -> Dict[str, Any]:
         """Cumulative service metrics across every epoch so far."""
         tenants: Dict[str, Dict[str, Any]] = {}
-        all_waits: List[float] = []
-        all_latencies: List[float] = []
+        bounded = self.config.bounded_metrics
+        waits, latencies = metric_sink(bounded), metric_sink(bounded)
         admitted_total = 0
         submitted_total = 0
         throttles_total = 0
         starved: List[str] = []
-        bounded = self.config.bounded_metrics
         for name in sorted(self.admission.tenants):
             state = self.admission.tenants[name]
             seen = self._tenant_totals.get(
-                name, TenantMetrics(name=name, bounded=bounded))
+                name, self._tenant_metrics(name))
             block = seen.to_dict()
             block["jobs"]["submitted"] = state.submitted
             block["jobs"]["admitted"] = state.admitted
@@ -553,26 +550,13 @@ class BlasService:
             block["jobs"]["quota_throttles"] = state.quota_throttles
             block["weight"] = state.quota.weight
             tenants[name] = block
-            all_waits.extend(seen.wait_seconds)
-            all_latencies.extend(seen.latency_seconds)
+            waits.merge(seen.wait)
+            latencies.merge(seen.latency)
             submitted_total += state.submitted
             admitted_total += state.admitted
             throttles_total += state.quota_throttles
             if state.admitted and not seen.jobs_completed:
                 starved.append(name)
-        if bounded:
-            # The per-epoch lists were never kept; the service-level
-            # histograms reconstruct the percentiles within their
-            # documented error bound.
-            wait_block = {"p50": self._h_wait.quantile(0.50),
-                          "p99": self._h_wait.quantile(0.99)}
-            latency_block = {"p50": self._h_latency.quantile(0.50),
-                             "p99": self._h_latency.quantile(0.99)}
-        else:
-            wait_block = {"p50": percentile(all_waits, 50),
-                          "p99": percentile(all_waits, 99)}
-            latency_block = {"p50": percentile(all_latencies, 50),
-                             "p99": percentile(all_latencies, 99)}
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "epochs": self._epochs,
@@ -589,8 +573,10 @@ class BlasService:
                 "quota_throttles": throttles_total,
                 "pending": len(self._pending),
             },
-            "wait_seconds": wait_block,
-            "latency_seconds": latency_block,
+            "wait_seconds": {"p50": waits.percentile(50),
+                             "p99": waits.percentile(99)},
+            "latency_seconds": {"p50": latencies.percentile(50),
+                                "p99": latencies.percentile(99)},
             "coalescing": self._coalesce_totals.to_dict(),
             "tenants": tenants,
             "starved_tenants": starved,

@@ -129,10 +129,12 @@ def sweep_case(case: Dict[str, Any]) -> Dict[str, Any]:
     else:  # pragma: no cover - grid is static
         raise ValueError(f"unknown operation {op!r}")
 
-    cycle_out, cycle_s = _timed(func, *run_args,
-                                sim_mode="cycle", **kwargs)
-    fast_out, fast_s = _timed(func, *run_args,
-                              sim_mode="fast", **kwargs)
+    cycle_out, cycle_s = _timed(
+        func, *run_args, options=api.CallOptions(sim_mode="cycle"),
+        **kwargs)
+    fast_out, fast_s = _timed(
+        func, *run_args, options=api.CallOptions(sim_mode="fast"),
+        **kwargs)
     mismatches = compare_api_results(cycle_out, fast_out)
     return {
         "case": {key: value for key, value in case.items()},

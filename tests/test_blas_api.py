@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.blas.api import PerfReport, dot, gemm, gemv
+from repro.blas import api
+from repro.blas.api import (
+    REDUCTION_FLUSH_CYCLES,
+    CallOptions,
+    PerfReport,
+    dot,
+    gemm,
+    gemv,
+    reduction_flush_cycles,
+)
 
 
 class TestDot:
@@ -21,8 +30,8 @@ class TestDot:
 
     def test_custom_clock(self, rng):
         u, v = rng.standard_normal(64), rng.standard_normal(64)
-        r170 = dot(u, v, clock_mhz=170.0).report
-        r85 = dot(u, v, clock_mhz=85.0).report
+        r170 = dot(u, v, options=CallOptions(clock_mhz=170.0)).report
+        r85 = dot(u, v, options=CallOptions(clock_mhz=85.0)).report
         assert r85.seconds == pytest.approx(2 * r170.seconds)
         assert r85.sustained_mflops == pytest.approx(
             r170.sustained_mflops / 2)
@@ -60,7 +69,7 @@ class TestGemv:
         A = rng.standard_normal((32, 32))
         x = rng.standard_normal(32)
         plain = gemv(A, x).report
-        xd1 = gemv(A, x, on_xd1=True).report
+        xd1 = gemv(A, x, options=CallOptions(on_xd1=True)).report
         assert xd1.clock_mhz < plain.clock_mhz
         assert xd1.area_slices > plain.area_slices
 
@@ -85,7 +94,8 @@ class TestGemm:
         A = rng.standard_normal((16, 16))
         B = rng.standard_normal((16, 16))
         C_fast = gemm(A, B, k=4, m=16).value
-        C_strict = gemm(A, B, k=4, m=16, strict=True).value
+        C_strict = gemm(A, B, k=4, m=16,
+                        options=CallOptions(strict=True)).value
         assert np.array_equal(C_fast, C_strict)
 
     def test_clock_uses_fig9_model(self, rng):
@@ -152,3 +162,22 @@ class TestRectangularGemm:
         B = rng.standard_normal((8, 64))
         C = gemm(A, B, k=4, m=8).value
         np.testing.assert_allclose(C, A @ B, rtol=1e-10, atol=1e-10)
+
+
+class TestReductionFlushCycles:
+    #: Flush cycles of final sets of 1..α+3 values at α = 14.
+    PINNED = [0, 14, 28, 29, 42, 43, 44, 45, 56, 57, 58, 59, 60, 61, 62,
+              62, 68]
+
+    def test_cache_bounded_by_distinct_results(self):
+        alpha = 14
+        api._flush_cycles.cache_clear()
+        values = [reduction_flush_cycles(size, alpha)
+                  for size in range(1, 2000)]
+        assert api._flush_cycles.cache_info().currsize <= alpha + 3
+        assert values[:alpha + 3] == self.PINNED
+        assert set(values[alpha + 3:]) == {REDUCTION_FLUSH_CYCLES}
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(ValueError, match="positive"):
+            reduction_flush_cycles(0)

@@ -5,9 +5,9 @@ contract under test is *parity*: for every operation and a grid of
 shapes, ``BlasCall(...).plan()`` and ``BlasCall(...).execute()`` must
 agree on flops, area and design geometry, with gemm predictions exact
 (both timing models are closed-form) and streaming predictions within
-the calibrated few percent.  Also covered: the :class:`BlasResult`
-tuple-compatibility shim, the deduplicated ``design_key`` rule, and
-the multi-FPGA planning/execution pair.
+the calibrated few percent.  Also covered: named access on
+:class:`BlasResult`, the deduplicated ``design_key`` rule, and the
+multi-FPGA planning/execution pair.
 """
 
 import warnings
@@ -19,7 +19,6 @@ from repro.blas.api import (
     BlasCall,
     BlasResult,
     CallOptions,
-    PerfReport,
     dot,
     gemm,
     gemm_multi,
@@ -119,25 +118,6 @@ class TestBlasCallValidation:
 
 
 class TestBlasResult:
-    def _result(self):
-        report = PerfReport("op", 8, 2, 1000, 100.0, 16, 1, 0.0, 0.0,
-                            1.0)
-        return BlasResult(value=42.0, report=report)
-
-    def test_tuple_unpack_still_works_but_warns(self):
-        with pytest.warns(DeprecationWarning, match="unpacking"):
-            value, report = self._result()
-        assert value == 42.0
-        assert isinstance(report, PerfReport)
-
-    def test_indexing_still_works_but_warns(self):
-        result = self._result()
-        with pytest.warns(DeprecationWarning, match="indexing"):
-            assert result[0] == result.value
-        with pytest.warns(DeprecationWarning, match="indexing"):
-            assert result[1] is result.report
-        assert len(result) == 2
-
     def test_named_access_does_not_warn(self, rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -146,26 +126,6 @@ class TestBlasResult:
             assert isinstance(result, BlasResult)
             assert result.report.operation == "gemm"
             assert result.value.shape == (16, 16)
-
-    def test_warns_once_per_call_site_pattern(self):
-        # Python's default warning registry dedups on (message,
-        # category, module, lineno): a loop over one deprecated call
-        # site surfaces exactly one warning, so migrating a large
-        # caller is not drowned in repeats.
-        result = self._result()
-
-        def unpack_site():
-            value, _ = result  # single deprecated source line
-            return value
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.resetwarnings()
-            warnings.simplefilter("default", DeprecationWarning)
-            for _ in range(5):
-                unpack_site()
-        deprecations = [w for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-        assert len(deprecations) == 1
 
 
 class TestDesignKey:
@@ -208,16 +168,19 @@ class TestCallOptions:
     """One shared options bundle replaces per-kernel kwarg plumbing."""
 
     def test_bundle_equivalent_to_legacy_kwargs(self, rng):
+        # The wrappers' bundle matches BlasCall's individual fields.
         u, v = rng.standard_normal(128), rng.standard_normal(128)
-        legacy = dot(u, v, clock_mhz=85.0, on_xd1=False).report
+        legacy = BlasCall("dot", operands=(u, v), clock_mhz=85.0,
+                          on_xd1=False).execute().report
         bundled = dot(u, v,
                       options=CallOptions(clock_mhz=85.0)).report
         assert legacy == bundled
 
     def test_explicit_bundle_wins_over_kwargs(self, rng):
         u, v = rng.standard_normal(64), rng.standard_normal(64)
-        report = dot(u, v, clock_mhz=170.0,
-                     options=CallOptions(clock_mhz=85.0)).report
+        report = BlasCall("dot", operands=(u, v), clock_mhz=170.0,
+                          options=CallOptions(clock_mhz=85.0)
+                          ).execute().report
         assert report.clock_mhz == 85.0
 
     def test_same_bundle_reused_across_kernels(self, rng):
@@ -238,8 +201,9 @@ class TestCallOptions:
     def test_fpgas_per_chassis_charges_crossings(self, rng):
         A = rng.standard_normal((256, 256))
         B = rng.standard_normal((256, 256))
-        seated = gemm_multi(A, B, l=2, k=8, m=128,
-                            fpgas_per_chassis=1).report
+        seated = gemm_multi(
+            A, B, l=2, k=8, m=128,
+            options=CallOptions(fpgas_per_chassis=1)).report
         single = gemm_multi(A, B, l=2, k=8, m=128).report
         assert seated.total_cycles > single.total_cycles
 

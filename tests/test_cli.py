@@ -241,14 +241,14 @@ class TestFaultsCommand:
             ["faults", "--faults-spec", str(spec)])
         assert args.faults_spec == str(spec)
 
-    def test_spec_remains_a_hidden_alias(self, tmp_path):
-        # Pre-unification scripts used 'repro faults --spec PATH'; the
-        # alias maps onto the same destination as --faults-spec.
+    def test_spec_alias_is_removed(self, tmp_path, capsys):
+        # The pre-unification 'repro faults --spec PATH' spelling is
+        # gone; only --faults-spec names a fault plan.
         spec = tmp_path / "faults.json"
         spec.write_text('{"events": []}')
-        args = build_parser().parse_args(
-            ["faults", "--spec", str(spec)])
-        assert args.faults_spec == str(spec)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["faults", "--spec", str(spec)])
+        assert "--spec" in capsys.readouterr().err
 
     def test_spec_alias_is_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -288,7 +288,7 @@ class TestFaultsCommand:
              "events": [{"kind": "mem_stall", "at": 0.0001,
                          "multiplier": 2.0}]}))
         rc = main(["faults", "--jobs", "6", "--blades", "2",
-                   "--spec", str(spec), "--json"])
+                   "--faults-spec", str(spec), "--json"])
         out = capsys.readouterr().out
         payload = json.loads(out)
         assert rc == 0

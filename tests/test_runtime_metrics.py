@@ -7,10 +7,12 @@ import pytest
 
 from repro.runtime import BlasRuntime
 from repro.runtime.job import BlasRequest
+from repro.obs.metrics import Histogram
 from repro.runtime.metrics import (
     DeviceMetrics,
     RuntimeMetrics,
     TenantMetrics,
+    metric_sink,
     percentile,
 )
 
@@ -140,6 +142,11 @@ class TestBoundedMode:
     """Histogram-backed TenantMetrics / RuntimeMetrics (O(1) memory)."""
 
     @staticmethod
+    def _tenant(bounded):
+        return TenantMetrics(name="a", wait=metric_sink(bounded),
+                             latency=metric_sink(bounded))
+
+    @staticmethod
     def _run(bounded):
         rng = np.random.default_rng(5)
         runtime = BlasRuntime(chassis=1, blades=2,
@@ -152,11 +159,15 @@ class TestBoundedMode:
         return runtime.run()
 
     def test_lists_stay_empty(self):
+        # Bounded sinks keep buckets, never per-request value lists.
         metrics = self._run(bounded=True)
-        assert metrics.bounded
-        assert metrics.wait_seconds == []
-        assert metrics.latency_seconds == []
-        assert metrics.latency_hist.count == 8
+        for sink in (metrics.wait, metrics.latency,
+                     metrics.tenants["astro"].latency):
+            assert isinstance(sink, Histogram)
+            assert not hasattr(sink, "values")
+        assert metrics.latency.count == 8
+        exact = self._run(bounded=False)
+        assert len(exact.latency.values) == 8
 
     def test_to_dict_shape_unchanged(self):
         exact = self._run(bounded=False).to_dict()
@@ -168,35 +179,35 @@ class TestBoundedMode:
     def test_quantiles_within_histogram_bound(self):
         exact = self._run(bounded=False)
         bounded = self._run(bounded=True)
-        error_bound = bounded.latency_hist.error_bound
+        error_bound = bounded.latency.error_bound
         for pct in (50, 99):
-            want = exact.latency_percentile(pct)
-            got = bounded.latency_percentile(pct)
+            want = exact.latency.percentile(pct)
+            got = bounded.latency.percentile(pct)
             assert got == pytest.approx(want, rel=error_bound)
 
     def test_tenant_merge_bounded_from_bounded(self):
         parts = []
         for offset in (1, 2):
-            block = TenantMetrics(name="a", bounded=True)
+            block = self._tenant(bounded=True)
             block.jobs_submitted = offset
-            block.observe_latency(2.0 ** -offset)
+            block.latency.observe(2.0 ** -offset)
             parts.append(block)
-        total = TenantMetrics(name="a", bounded=True)
+        total = self._tenant(bounded=True)
         for part in parts:
             total.merge_from(part)
         assert total.jobs_submitted == 3
-        assert total.latency_hist.count == 2
+        assert total.latency.count == 2
 
     def test_tenant_merge_bounded_from_unbounded(self):
         exact = TenantMetrics(name="a")
-        exact.observe_latency(1e-3)
-        total = TenantMetrics(name="a", bounded=True)
+        exact.latency.observe(1e-3)
+        total = self._tenant(bounded=True)
         total.merge_from(exact)
-        assert total.latency_hist.count == 1
+        assert total.latency.count == 1
 
     def test_tenant_merge_unbounded_from_bounded_raises(self):
-        bounded = TenantMetrics(name="a", bounded=True)
-        bounded.observe_latency(1e-3)
+        bounded = self._tenant(bounded=True)
+        bounded.latency.observe(1e-3)
         exact = TenantMetrics(name="a")
         with pytest.raises(ValueError, match="exact values"):
             exact.merge_from(bounded)

@@ -160,7 +160,7 @@ class TestErrorParity:
         for mode in ("cycle", "fast"):
             with pytest.raises(MvmHazardError) as excinfo:
                 api.gemv(A, x, k=4, architecture="column",
-                         sim_mode=mode)
+                         options=api.CallOptions(sim_mode=mode))
             messages[mode] = str(excinfo.value)
         assert messages["cycle"] == messages["fast"]
 
@@ -172,7 +172,7 @@ class TestErrorParity:
         for mode in ("cycle", "fast"):
             with pytest.raises(MvmHazardError) as excinfo:
                 api.gemv(A, x, k=4, architecture="column", block=64,
-                         sim_mode=mode)
+                         options=api.CallOptions(sim_mode=mode))
             messages[mode] = str(excinfo.value)
         assert messages["cycle"] == messages["fast"]
 
