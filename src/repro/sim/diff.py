@@ -120,11 +120,23 @@ def sweep_case(case: Dict[str, Any]) -> Dict[str, Any]:
         func = api.gemm_multi if "blades" in case else api.gemm
     elif op == "spmxv":
         from repro.sparse import CsrMatrix
+        from repro.workloads import poisson_2d
 
-        matrix = CsrMatrix.random(case["n"], case["n"],
-                                  density=case.get("density", 0.05),
-                                  rng=rng)
-        run_args = (matrix, rng.standard_normal(case["n"]))
+        structure = case.get("structure", "random")
+        if structure == "poisson":
+            # The serve path's matrix: n is the grid width.
+            matrix = poisson_2d(case["n"])
+        else:
+            matrix = CsrMatrix.random(case["n"], case["n"],
+                                      density=case.get("density", 0.05),
+                                      rng=rng)
+            if structure == "empty_rows":
+                # Empty every third row, the first and last included.
+                dense = matrix.to_dense()
+                dense[::3] = 0.0
+                dense[-1] = 0.0
+                matrix = CsrMatrix.from_dense(dense)
+        run_args = (matrix, rng.standard_normal(matrix.ncols))
         func = api.spmxv
     else:  # pragma: no cover - grid is static
         raise ValueError(f"unknown operation {op!r}")
@@ -147,7 +159,8 @@ def sweep_case(case: Dict[str, Any]) -> Dict[str, Any]:
 
 
 #: The default differential grid: every kernel, both MVM
-#: architectures, blocked paths, sparse, and a real gang.
+#: architectures, blocked paths, sparse (random, the serve path's
+#: Poisson stencil, and empty rows at both ends), and a real gang.
 DEFAULT_GRID: List[Dict[str, Any]] = [
     {"operation": "dot", "n": 64, "k": 2},
     {"operation": "dot", "n": 2048, "k": 2},
@@ -163,6 +176,8 @@ DEFAULT_GRID: List[Dict[str, Any]] = [
     {"operation": "gemm", "n": 128, "k": 8, "m": 16, "blades": 4},
     {"operation": "spmxv", "n": 256, "k": 4},
     {"operation": "spmxv", "n": 512, "k": 8, "density": 0.02},
+    {"operation": "spmxv", "n": 16, "k": 4, "structure": "poisson"},
+    {"operation": "spmxv", "n": 128, "k": 4, "structure": "empty_rows"},
 ]
 
 

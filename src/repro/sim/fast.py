@@ -84,13 +84,18 @@ def resolve_sim_mode(mode: str) -> str:
 PAT_BUBBLE, PAT_VALUE, PAT_LAST = 0, 1, 2
 
 
-def back_to_back_pattern(sizes: Sequence[int]) -> bytes:
+def back_to_back_pattern(sizes: Sequence[int] | np.ndarray) -> bytes:
     """Arrival pattern of ``len(sizes)`` sets delivered back to back,
-    one value per cycle — the pattern every dense kernel produces."""
-    return b"".join(
-        bytes([PAT_VALUE]) * (int(s) - 1) + bytes([PAT_LAST])
-        for s in sizes
-    )
+    one value per cycle — the pattern every dense kernel produces.
+    Every set needs at least one value."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.size and sizes.min() < 1:
+        raise ValueError("every set needs at least one value")
+    ends = np.cumsum(sizes)
+    pattern = np.full(int(ends[-1]) if ends.size else 0, PAT_VALUE,
+                      dtype=np.uint8)
+    pattern[ends - 1] = PAT_LAST
+    return pattern.tobytes()
 
 
 @dataclass(frozen=True)
@@ -102,9 +107,11 @@ class ReductionProgram:
     ``levels`` holds the additions grouped by dependency depth as
     ``(a, b, out)`` index arrays — every addition computes
     ``value[out] = value[a] + value[b]``, the exact operand order the
-    circuit issued.  ``emits`` lists the completed sets in emission
-    order as ``(set_id, root_node, cycle)``; ``flush_cycles`` is what
-    :meth:`SingleAdderReduction.flush` returned past the pattern's end.
+    circuit issued.  The completed sets, in emission order, are the
+    aligned int64 arrays ``emit_set_ids``, ``emit_roots`` (the node
+    holding each set's sum) and ``emit_cycles``; ``flush_cycles`` is
+    what :meth:`SingleAdderReduction.flush` returned past the
+    pattern's end.
     """
 
     pattern: bytes
@@ -113,34 +120,45 @@ class ReductionProgram:
     n_inputs: int
     n_nodes: int
     levels: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    emits: Tuple[Tuple[int, int, int], ...]
+    emit_set_ids: np.ndarray
+    emit_roots: np.ndarray
+    emit_cycles: np.ndarray
     flush_cycles: int
 
     @property
     def last_emit_cycle(self) -> int:
         """Cycle of the final emission (0 when nothing was streamed)."""
-        return self.emits[-1][2] if self.emits else 0
+        return int(self.emit_cycles[-1]) if self.emit_cycles.size else 0
 
-    def apply(self, values: np.ndarray) -> List[ReducedResult]:
+    def replay(self, values: np.ndarray) -> np.ndarray:
         """Replay the recorded schedule over real values, vectorized by
-        dependency level.  Returns the same ``results`` list the
-        cycle-accurate circuit produces — same values (bit for bit,
-        same operand order per addition), same set ids, same emission
-        cycles."""
+        dependency level, and return every node's value — bit for bit
+        what the circuit computes, since each addition keeps its
+        operand order.  Set ``emit_set_ids[i]`` sums to
+        ``nodes[emit_roots[i]]``."""
         values = np.asarray(values, dtype=np.float64).ravel()
         if len(values) != self.n_inputs:
             raise ValueError(
                 f"program expects {self.n_inputs} values, got "
                 f"{len(values)}")
-        vals = np.empty(self.n_nodes, dtype=np.float64)
-        vals[:self.n_inputs] = values
+        nodes = np.empty(self.n_nodes, dtype=np.float64)
+        nodes[:self.n_inputs] = values
         for a_idx, b_idx, out_idx in self.levels:
             # Fancy-index reads copy before the write lands, and level
             # grouping guarantees operands come from earlier levels.
-            vals[out_idx] = vals[a_idx] + vals[b_idx]
+            nodes[out_idx] = nodes[a_idx] + nodes[b_idx]
+        return nodes
+
+    def apply(self, values: np.ndarray) -> List[ReducedResult]:
+        """:meth:`replay`, returned as the ``results`` list the
+        cycle-accurate circuit produces — same values, same set ids,
+        same emission cycles."""
+        sums = self.replay(values)[self.emit_roots]
         return [
-            ReducedResult(set_id, float(vals[root]), cycle)
-            for set_id, root, cycle in self.emits
+            ReducedResult(set_id, value, cycle)
+            for set_id, value, cycle in zip(self.emit_set_ids.tolist(),
+                                            sums.tolist(),
+                                            self.emit_cycles.tolist())
         ]
 
 
@@ -200,14 +218,15 @@ def reduction_program(pattern: bytes, alpha: int = 14,
             levels.append((chunk[:, 0].copy(), chunk[:, 1].copy(),
                            chunk[:, 2].copy()))
 
-    emits = tuple(
-        (res.set_id, int(res.value), res.cycle)
-        for res in circuit.results
-    )
+    emits = np.array(
+        [(res.set_id, int(res.value), res.cycle)
+         for res in circuit.results],
+        dtype=np.int64).reshape(-1, 3)
     return ReductionProgram(
         pattern=pattern, alpha=alpha, drain_policy=drain_policy,
         n_inputs=n_inputs, n_nodes=next_id, levels=tuple(levels),
-        emits=emits, flush_cycles=flush_cycles,
+        emit_set_ids=emits[:, 0].copy(), emit_roots=emits[:, 1].copy(),
+        emit_cycles=emits[:, 2].copy(), flush_cycles=flush_cycles,
     )
 
 
@@ -343,11 +362,9 @@ def _fast_tree_mvm(design: TreeMvmDesign, A: np.ndarray,
 
     partials = fold_columns((A * x[None, :]).reshape(nrows * groups, k))
     program = reduction_program(
-        back_to_back_pattern((groups,) * nrows), design.alpha_add)
-    results = program.apply(partials)
+        back_to_back_pattern(np.full(nrows, groups)), design.alpha_add)
     y = np.zeros(nrows)
-    for res in results:
-        y[res.set_id] = res.value
+    y[program.emit_set_ids] = program.replay(partials)[program.emit_roots]
     total = (program.last_emit_cycle + design.alpha_mul
              + max(1, design.tree_latency))
     return MvmRun(y=y, n=max(nrows, ncols), k=k, total_cycles=total,
@@ -503,13 +520,11 @@ def fast_spmxv(design, matrix, x: np.ndarray):
     table[chunk_idx, offsets % k] = products
     partials = fold_columns(table)
 
-    program = reduction_program(
-        back_to_back_pattern(tuple(int(s) for s in sizes)),
-        design.alpha_add)
-    results = program.apply(partials)
+    program = reduction_program(back_to_back_pattern(sizes),
+                                design.alpha_add)
     y = np.zeros(matrix.nrows)
-    for res in results:
-        y[nonempty[res.set_id]] = res.value
+    y[nonempty[program.emit_set_ids]] = (
+        program.replay(partials)[program.emit_roots])
     total = (program.last_emit_cycle + design.alpha_mul
              + max(1, design.tree_latency))
     return SpmxvRun(y=y, nrows=matrix.nrows, nnz=matrix.nnz, k=k,

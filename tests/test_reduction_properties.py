@@ -15,12 +15,18 @@ proof.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.reduction.analysis import latency_bound, run_reduction
 from repro.reduction.single_adder import SingleAdderReduction
-from repro.sim.fast import FastReduction, back_to_back_pattern
+from repro.sim.fast import (
+    PAT_LAST,
+    PAT_VALUE,
+    FastReduction,
+    back_to_back_pattern,
+)
 
 alphas = st.sampled_from([2, 3, 4, 5, 8, 14])
 
@@ -267,3 +273,28 @@ def test_back_to_back_pattern_is_the_dense_arrival(workload):
         for index, value in enumerate(values):
             fast_circuit.cycle(value, index == len(values) - 1)
     assert bytes(fast_circuit._pattern) == back_to_back_pattern(sizes)
+
+
+def _joined_pattern(sizes):
+    """The per-set ``b"".join`` encoding, kept as the oracle."""
+    return b"".join(bytes([PAT_VALUE]) * (int(s) - 1) + bytes([PAT_LAST])
+                    for s in sizes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 300), max_size=40))
+def test_back_to_back_pattern_matches_joined_form(sizes):
+    """The array-built pattern is byte-equal to the per-set join,
+    whether the sizes arrive as a list or as an int64 array."""
+    want = _joined_pattern(sizes)
+    assert back_to_back_pattern(sizes) == want
+    assert back_to_back_pattern(np.asarray(sizes, dtype=np.int64)) == want
+
+
+@pytest.mark.parametrize("sizes", [[0], [3, 0, 2], [2, -1],
+                                   np.array([4, 0], dtype=np.int64)])
+def test_back_to_back_pattern_rejects_empty_sets(sizes):
+    """A size-0 set has no last value to mark; it must not be encoded
+    as a one-value set."""
+    with pytest.raises(ValueError, match="at least one value"):
+        back_to_back_pattern(sizes)

@@ -58,6 +58,33 @@ class TestSparseStructures:
         eigenvalues = np.linalg.eigvalsh(dense)
         assert eigenvalues.min() > 0
 
+    @pytest.mark.parametrize("grid", range(1, 65))
+    def test_poisson_matches_per_row_stencil(self, grid):
+        """Byte for byte the matrix the per-row stencil loop builds."""
+        values, cols, row_ptr = [], [], [0]
+        for i in range(grid):
+            for j in range(grid):
+                entries = [(i * grid + j, 4.0)]
+                for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+                    ni, nj = i + di, j + dj
+                    if 0 <= ni < grid and 0 <= nj < grid:
+                        entries.append((ni * grid + nj, -1.0))
+                for col, val in sorted(entries):
+                    cols.append(col)
+                    values.append(val)
+                row_ptr.append(len(values))
+        M = poisson_2d(grid)
+        assert M.shape == (grid * grid, grid * grid)
+        for got, want in ((M.values, np.array(values)),
+                          (M.col_indices, np.array(cols, dtype=np.int64)),
+                          (M.row_ptr, np.array(row_ptr, dtype=np.int64))):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    def test_poisson_validation(self):
+        with pytest.raises(ValueError):
+            poisson_2d(0)
+
     def test_banded_bandwidth(self, rng):
         M = banded(12, 2, rng)
         dense = M.to_dense()
