@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -56,6 +57,9 @@ from repro.analyze.diagnostics import (
 from repro.analyze.platform import PlatformModel, get_platform
 from repro.device.area import AreaModel, DesignArea
 from repro.fparith.units import FP_ADDER_64, FP_MULTIPLIER_64
+
+if TYPE_CHECKING:
+    from repro.blas.api import BlasCall
 
 #: Operations the checker knows, and which use the reduction circuit.
 OPERATIONS = ("dot", "gemv", "gemm", "spmxv")
@@ -113,17 +117,17 @@ class DesignUnderCheck:
                     and self.architecture == "tree"))
 
     @classmethod
-    def from_call(cls, call: object) -> "DesignUnderCheck":
+    def from_call(cls, call: BlasCall) -> "DesignUnderCheck":
         """Normalize a :class:`repro.blas.api.BlasCall`."""
         dims = call._dims()  # shared geometry/validation path
         return cls(
             operation=call.operation,
             n=max(dims),
-            k=call.k,
-            architecture=getattr(call, "architecture", "tree"),
+            k=call.effective_k,
+            architecture=call.architecture,
             m=call.m,
             blades=call.blades,
-            clock_mhz=call.clock_mhz,
+            clock_mhz=call.options.clock_mhz,
         )
 
     @classmethod
@@ -645,7 +649,7 @@ def check_design(design: DesignUnderCheck,
     return AnalysisReport(diagnostics)
 
 
-def check_call(call: object,
+def check_call(call: BlasCall,
                platform: "str | PlatformModel" = "xd1",
                ) -> AnalysisReport:
     """DRC a :class:`repro.blas.api.BlasCall` without executing it."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +42,10 @@ from repro.blas.multi_fpga import MultiFpgaMatrixMultiply
 from repro.device.area import AreaModel, DesignArea
 from repro.reduction.single_adder import SingleAdderReduction
 from repro.sim import fast as fastsim
+
+if TYPE_CHECKING:
+    from repro.analyze import AnalysisReport
+    from repro.sparse.csr import CsrMatrix
 
 #: Saturated reduction-circuit flush tail at the paper's adder depth
 #: (α = 14): the flush cost of any final set of α + 3 or more values.
@@ -91,11 +95,19 @@ DEFAULT_K = {"dot": 2, "gemv": 4, "gemm": 8, "spmxv": 4}
 class CallOptions:
     """Cross-kernel execution options, bundled once.
 
-    Every executing wrapper (``dot``/``gemv``/``gemm``/``gemm_multi``/
-    ``spmxv``) takes its ``clock_mhz``/``on_xd1``/``sim_mode``/… as
-    one bundle via ``options=`` and hands it to :class:`BlasCall`, so
-    adding the next shared option is one change here, not six
-    signature edits.
+    The only carrier of ``clock_mhz``/``on_xd1``/``sim_mode``/
+    ``strict``/``fpgas_per_chassis``: every wrapper (executing and
+    ``plan_*``), :class:`BlasCall`, program nodes and the analyzer
+    read them from this bundle, so adding the next shared option is
+    one change here, not a signature edit per layer.  A bad bundle
+    fails where it is built.
+
+    ``sim_mode`` selects the execution substrate: ``"cycle"``
+    (default) steps the cycle-accurate designs; ``"fast"`` / ``"auto"``
+    use the proven-equivalent fast paths of :mod:`repro.sim.fast`
+    (byte-identical results, identical cycle counts) and fall back to
+    cycle stepping for anything without a proven fast path.  Planning
+    is unaffected — plans never execute either way.
 
     ``fpgas_per_chassis`` declares the chassis width a gang is seated
     on: when a gemm gang spans more blades than one chassis holds, the
@@ -110,6 +122,16 @@ class CallOptions:
     sim_mode: str = "cycle"
     strict: bool = False
     fpgas_per_chassis: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        fastsim.resolve_sim_mode(self.sim_mode)  # validate
+        if (self.fpgas_per_chassis is not None
+                and self.fpgas_per_chassis < 1):
+            raise ValueError("fpgas_per_chassis must be >= 1")
+
+
+#: The all-defaults bundle, shared by every call that passes none.
+DEFAULT_OPTIONS = CallOptions()
 
 
 @dataclass(frozen=True)
@@ -246,20 +268,12 @@ class BlasCall:
 
     ``blades > 1`` plans/executes a gemm on the ``l``-FPGA linear
     array of Section 5.2 instead of the single-blade PE array.  With
-    ``fpgas_per_chassis`` set and ``blades`` exceeding it, the array
-    spans chassis and both paths charge the same RapidArray
+    ``options.fpgas_per_chassis`` set and ``blades`` exceeding it, the
+    array spans chassis and both paths charge the same RapidArray
     boundary-crossing term, keeping plan == execute exact.
 
-    ``options`` accepts a :class:`CallOptions` bundle; it overrides
-    the corresponding individual fields and is consumed at
-    construction (the call stores the flattened fields).
-
-    ``sim_mode`` selects the execution substrate: ``"cycle"``
-    (default) steps the cycle-accurate designs; ``"fast"`` / ``"auto"``
-    use the proven-equivalent fast paths of :mod:`repro.sim.fast`
-    (byte-identical results, identical cycle counts) and fall back to
-    cycle stepping for anything without a proven fast path.  Planning
-    is unaffected — plans never execute either way.
+    Clock, platform derating, sim mode, strictness and chassis seating
+    come from the :class:`CallOptions` bundle in ``options`` alone.
     """
 
     operation: str
@@ -270,44 +284,29 @@ class BlasCall:
     blades: int = 1
     architecture: str = "tree"
     block: Optional[int] = None
-    clock_mhz: Optional[float] = None
-    on_xd1: bool = False
-    strict: bool = False
-    sim_mode: str = "cycle"
-    fpgas_per_chassis: Optional[int] = None
-    options: Optional[CallOptions] = None
+    options: CallOptions = DEFAULT_OPTIONS
 
     def __post_init__(self) -> None:
-        if self.options is not None:
-            opts = self.options
-            self.clock_mhz = opts.clock_mhz
-            self.on_xd1 = opts.on_xd1
-            self.sim_mode = opts.sim_mode
-            self.strict = opts.strict
-            self.fpgas_per_chassis = opts.fpgas_per_chassis
-            self.options = None
         if self.operation not in DEFAULT_K:
             raise ValueError(
                 f"unknown operation {self.operation!r}; "
                 f"expected one of {tuple(DEFAULT_K)}")
-        if self.sim_mode not in fastsim.SIM_MODES:
-            raise ValueError(
-                f"unknown sim mode {self.sim_mode!r}; expected one of "
-                f"{fastsim.SIM_MODES}")
-        if self.k is None:
-            self.k = DEFAULT_K[self.operation]
         if self.blades < 1:
             raise ValueError("blades must be >= 1")
         if self.blades > 1 and self.operation != "gemm":
             raise ValueError(
                 "multi-FPGA gangs exist only for gemm "
                 "(Section 5.2 linear array)")
-        if (self.fpgas_per_chassis is not None
-                and self.fpgas_per_chassis < 1):
-            raise ValueError("fpgas_per_chassis must be >= 1")
         if self.operands is None and self.shape is None:
             raise ValueError(
                 f"{self.operation} needs operands or a shape")
+
+    @property
+    def effective_k(self) -> int:
+        """The call's ``k``, or the operation's Table 3/4 default
+        (:data:`DEFAULT_K`) when none was given."""
+        return (self.k if self.k is not None
+                else DEFAULT_K[self.operation])
 
     # -- shared geometry/validation --------------------------------------
     def _dims(self) -> Tuple[int, ...]:
@@ -337,58 +336,61 @@ class BlasCall:
                 dims = (int(a_shape[0]), int(a_shape[1]),
                         int(b_shape[1]))
         else:
+            declared = self.shape or ()
             expected = {"dot": 1, "gemv": 2, "gemm": 3}[op]
-            if len(self.shape) != expected:
+            if len(declared) != expected:
                 raise ValueError(
                     f"{op} shape needs {expected} dimension(s), got "
-                    f"{self.shape!r}")
-            dims = tuple(int(d) for d in self.shape)
+                    f"{declared!r}")
+            dims = tuple(int(d) for d in declared)
         if min(dims) < 1:
             raise ValueError(
                 "n must be positive" if op == "dot"
                 else "matrix dimensions must be positive")
         return dims
 
-    def _mvm_design(self):
+    def _mvm_design(self) -> Union[TreeMvmDesign,
+                                   ColumnMajorMvmDesign]:
         if self.architecture == "tree":
-            return TreeMvmDesign(k=self.k)
+            return TreeMvmDesign(k=self.effective_k)
         if self.architecture == "column":
-            return ColumnMajorMvmDesign(k=self.k)
+            return ColumnMajorMvmDesign(k=self.effective_k)
         raise ValueError(
             f"unknown MVM architecture {self.architecture!r}")
 
     def _area(self) -> DesignArea:
+        k, on_xd1 = self.effective_k, self.options.on_xd1
         if self.operation == "dot":
-            return AreaModel().dot_product_design(self.k,
-                                                  on_xd1=self.on_xd1)
+            return AreaModel().dot_product_design(k, on_xd1=on_xd1)
         if self.operation == "gemm":
-            return AreaModel().mm_design(self.k, on_xd1=self.on_xd1)
-        return AreaModel().mvm_design(self.k, on_xd1=self.on_xd1)
+            return AreaModel().mm_design(k, on_xd1=on_xd1)
+        return AreaModel().mvm_design(k, on_xd1=on_xd1)
 
     def _clock(self, area: DesignArea) -> float:
-        return (self.clock_mhz if self.clock_mhz is not None
-                else area.clock_mhz)
+        clock = self.options.clock_mhz
+        return clock if clock is not None else area.clock_mhz
 
     def _gang_design(self, m: int,
                      padded: int) -> MultiFpgaMatrixMultiply:
         """The l-FPGA array for this call's padded geometry (one b×b
         block spanning the whole problem, so nb = 1)."""
-        return MultiFpgaMatrixMultiply(l=self.blades, k=self.k, m=m,
-                                       b=padded)
+        return MultiFpgaMatrixMultiply(l=self.blades, k=self.effective_k,
+                                       m=m, b=padded)
 
     def _inter_chassis_cycles(self, m: int, padded: int) -> int:
         """RapidArray boundary-crossing cycles of a chassis-spanning
         gang — the one closed form both plan and execute charge."""
-        if self.blades <= 1 or self.fpgas_per_chassis is None:
+        width = self.options.fpgas_per_chassis
+        if self.blades <= 1 or width is None:
             return 0
         from repro.device.interconnect import \
             inter_chassis_transfer_cycles
 
         return inter_chassis_transfer_cycles(
-            self.blades, self.fpgas_per_chassis, m, padded, self.k)
+            self.blades, width, m, padded, self.effective_k)
 
     # -- static analysis -------------------------------------------------
-    def analyze(self, platform: str = "xd1"):
+    def analyze(self, platform: str = "xd1") -> AnalysisReport:
         """Run the design-rule checker over this call without
         executing it; returns an
         :class:`repro.analyze.AnalysisReport` of every violated
@@ -415,10 +417,11 @@ class BlasCall:
                 raise DesignRuleError(report)
         op = self.operation
         dims = self._dims()
+        k = self.effective_k
         if op == "dot":
-            design = DotProductDesign(k=self.k)
+            design = DotProductDesign(k=k)
             n = dims[0]
-            rows = math.ceil(n / self.k)
+            rows = math.ceil(n / k)
             # ⌈n/k⌉ tree-root values stream in behind the multiplier
             # and tree fill; the reduction circuit then flushes one
             # final set of exactly that many values.  The tree pipe is
@@ -432,7 +435,7 @@ class BlasCall:
             design = self._mvm_design()
             nrows, ncols = dims
             if self.architecture == "tree":
-                sets = math.ceil(ncols / self.k)
+                sets = math.ceil(ncols / k)
                 # nrows back-to-back sets of ⌈ncols/k⌉ tree-root
                 # values; only the last set's flush extends the run.
                 cycles = (nrows * sets + design.alpha_mul
@@ -440,14 +443,14 @@ class BlasCall:
                           + reduction_flush_cycles(sets,
                                                    design.alpha_add))
             else:
-                cycles = (ncols * math.ceil(nrows / self.k)
+                cycles = (ncols * math.ceil(nrows / k)
                           + design.alpha_mul + design.alpha_add)
             n = max(nrows, ncols)
             flops = 2 * nrows * ncols
             operation = f"gemv[{self.architecture}]"
         elif op == "gemm":
             p, q, r = dims
-            m, padded = gemm_geometry(p, q, r, self.k, self.m)
+            m, padded = gemm_geometry(p, q, r, k, self.m)
             if self.blades > 1:
                 gang = self._gang_design(m, padded)
                 bm = padded // m
@@ -462,38 +465,39 @@ class BlasCall:
                           + crossing)
                 area = self._area()
                 return ExecutionPlan(
-                    operation="gemm", n=max(p, q, r), k=self.k, m=m,
+                    operation="gemm", n=max(p, q, r), k=k, m=m,
                     predicted_cycles=cycles,
                     clock_mhz=self._clock(area),
                     flops=2 * p * q * r, area=area,
                     blades_required=self.blades,
                     inter_chassis_cycles=crossing)
             else:
-                design = MatrixMultiplyDesign(k=self.k, m=m)
+                design = MatrixMultiplyDesign(k=k, m=m)
                 nb = padded // m
                 cycles = (design.startup_cycles()
                           + nb ** 3 * design.block_compute_cycles()
                           + design.drain_cycles() + m * m)
             area = self._area()
             return ExecutionPlan(
-                operation="gemm", n=max(p, q, r), k=self.k, m=m,
+                operation="gemm", n=max(p, q, r), k=k, m=m,
                 predicted_cycles=cycles, clock_mhz=self._clock(area),
                 flops=2 * p * q * r, area=area,
                 blades_required=self.blades)
         else:  # spmxv
             from repro.sparse.spmxv import SpmxvDesign
 
+            assert self.operands is not None  # _dims() checked
             matrix = self.operands[0]
-            design = SpmxvDesign(k=self.k)
+            design = SpmxvDesign(k=k)
             row_nnz = np.diff(matrix.row_ptr)
-            chunks = int(np.sum(np.ceil(row_nnz / self.k)))
+            chunks = int(np.sum(np.ceil(row_nnz / k)))
             cycles = (chunks + design.alpha_mul + design.tree_latency
                       + design.alpha_add)
             n = matrix.nrows
             flops = 2 * matrix.nnz
             operation = "spmxv"
         area = self._area()
-        return ExecutionPlan(operation=operation, n=n, k=self.k,
+        return ExecutionPlan(operation=operation, n=n, k=k,
                              m=None, predicted_cycles=cycles,
                              clock_mhz=self._clock(area), flops=flops,
                              area=area)
@@ -506,25 +510,16 @@ class BlasCall:
                 f"cannot execute a shape-only {self.operation} call")
         op = self.operation
         dims = self._dims()
-        use_fast = fastsim.resolve_sim_mode(self.sim_mode) == "fast"
+        k = self.effective_k
+        use_fast = (fastsim.resolve_sim_mode(self.options.sim_mode)
+                    == "fast")
         if op == "dot":
             u, v = self.operands
-            design = DotProductDesign(k=self.k)
+            design = DotProductDesign(k=k)
             run = fastsim.fast_dot(design, u, v) if use_fast else None
             if run is None:
                 run = design.run(u, v)
-            area = self._area()
-            clock = self._clock(area)
-            report = PerfReport(
-                operation="dot", n=run.n, k=self.k,
-                total_cycles=run.total_cycles, clock_mhz=clock,
-                flops=run.flops, area_slices=area.slices,
-                device_utilization=area.utilization,
-                memory_bandwidth_gbytes=run.memory_bandwidth_gbytes(
-                    clock),
-                efficiency=run.efficiency,
-            )
-            return BlasResult(run.result, report)
+            return BlasResult(run.result, self._report("dot", run.n, run))
         if op == "gemv":
             A, x = self.operands
             design = self._mvm_design()
@@ -533,48 +528,43 @@ class BlasCall:
             if run is None:
                 run = (design.run_blocked(A, x, self.block) if self.block
                        else design.run(A, x))
-            area = self._area()
-            clock = self._clock(area)
-            report = PerfReport(
-                operation=f"gemv[{self.architecture}]", n=run.n,
-                k=self.k, total_cycles=run.total_cycles,
-                clock_mhz=clock, flops=run.flops,
-                area_slices=area.slices,
-                device_utilization=area.utilization,
-                memory_bandwidth_gbytes=run.memory_bandwidth_gbytes(
-                    clock),
-                efficiency=run.efficiency,
-            )
-            return BlasResult(run.y, report)
+            return BlasResult(run.y, self._report(
+                f"gemv[{self.architecture}]", run.n, run))
         if op == "gemm":
-            return self._execute_gemm(dims)
+            return self._execute_gemm(dims, *self.operands)
         # spmxv
         from repro.sparse.spmxv import SpmxvDesign
 
         matrix, x = self.operands
-        design = SpmxvDesign(k=self.k)
+        design = SpmxvDesign(k=k)
         run = (fastsim.fast_spmxv(design, matrix, x) if use_fast
                else None)
         if run is None:
             run = design.run(matrix, x)
+        return BlasResult(run.y, self._report("spmxv", run.nrows, run))
+
+    def _report(self, operation: str, n: int, run: Any) -> PerfReport:
+        """The report of a dot/gemv/spmxv run (gemm itemizes padding
+        and gang bandwidth itself)."""
         area = self._area()
         clock = self._clock(area)
-        report = PerfReport(
-            operation="spmxv", n=run.nrows, k=self.k,
+        return PerfReport(
+            operation=operation, n=n, k=self.effective_k,
             total_cycles=run.total_cycles, clock_mhz=clock,
             flops=run.flops, area_slices=area.slices,
             device_utilization=area.utilization,
             memory_bandwidth_gbytes=run.memory_bandwidth_gbytes(clock),
             efficiency=run.efficiency,
         )
-        return BlasResult(run.y, report)
 
-    def _execute_gemm(self, dims: Tuple[int, ...]) -> BlasResult:
+    def _execute_gemm(self, dims: Tuple[int, ...], a: Any,
+                      b: Any) -> BlasResult:
         p, q, r = dims
-        A = np.asarray(self.operands[0], dtype=np.float64)
-        B = np.asarray(self.operands[1], dtype=np.float64)
+        A = np.asarray(a, dtype=np.float64)
+        B = np.asarray(b, dtype=np.float64)
+        k = self.effective_k
         size = max(p, q, r)
-        m, padded = gemm_geometry(p, q, r, self.k, self.m)
+        m, padded = gemm_geometry(p, q, r, k, self.m)
         if (p, q) == (padded, padded) and r == padded:
             a_pad, b_pad = A, B
         else:
@@ -587,7 +577,8 @@ class BlasCall:
         # Useful flops only; cycles include any padding work, so the
         # efficiency of a badly-shaped problem honestly degrades.
         useful_flops = 2 * p * q * r
-        use_fast = fastsim.resolve_sim_mode(self.sim_mode) == "fast"
+        use_fast = (fastsim.resolve_sim_mode(self.options.sim_mode)
+                    == "fast")
         crossing = 0
         if self.blades > 1:
             gang = self._gang_design(m, padded)
@@ -601,12 +592,12 @@ class BlasCall:
             # The single-blade PE array's cycle model is already
             # analytic (closed-form timing + block matmuls), so fast
             # mode runs the same path — the "already exact" tier.
-            design = MatrixMultiplyDesign(k=self.k, m=m)
-            run = design.run(a_pad, b_pad, strict=self.strict)
+            design = MatrixMultiplyDesign(k=k, m=m)
+            run = design.run(a_pad, b_pad, strict=self.options.strict)
             bandwidth = run.memory_bandwidth_gbytes(clock)
         total_cycles = run.total_cycles + crossing
         report = PerfReport(
-            operation="gemm", n=size, k=self.k,
+            operation="gemm", n=size, k=k,
             total_cycles=total_cycles, clock_mhz=clock,
             flops=useful_flops, area_slices=area.slices,
             device_utilization=area.utilization,
@@ -624,7 +615,7 @@ def dot(u: np.ndarray, v: np.ndarray, k: int = 2,
         options: Optional[CallOptions] = None) -> BlasResult:
     """Dot product on the tree architecture (Table 3: k=2)."""
     return BlasCall("dot", operands=(u, v), k=k,
-                    options=options).execute()
+                    options=options or DEFAULT_OPTIONS).execute()
 
 
 def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
@@ -639,7 +630,7 @@ def gemv(A: np.ndarray, x: np.ndarray, k: int = 4,
     """
     return BlasCall("gemv", operands=(A, x), k=k,
                     architecture=architecture, block=block,
-                    options=options).execute()
+                    options=options or DEFAULT_OPTIONS).execute()
 
 
 def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
@@ -655,7 +646,7 @@ def gemm(A: np.ndarray, B: np.ndarray, k: int = 8,
     paper's on-chip limit).
     """
     return BlasCall("gemm", operands=(A, B), k=k, m=m,
-                    options=options).execute()
+                    options=options or DEFAULT_OPTIONS).execute()
 
 
 def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
@@ -669,10 +660,10 @@ def gemm_multi(A: np.ndarray, B: np.ndarray, l: int, k: int = 8,
     array may span chassis; the RapidArray boundary crossings are
     charged."""
     return BlasCall("gemm", operands=(A, B), k=k, m=m, blades=l,
-                    options=options).execute()
+                    options=options or DEFAULT_OPTIONS).execute()
 
 
-def spmxv(matrix, x: np.ndarray, k: int = 4,
+def spmxv(matrix: CsrMatrix, x: np.ndarray, k: int = 4,
           options: Optional[CallOptions] = None) -> BlasResult:
     """Sparse matrix-vector multiply on the tree architecture.
 
@@ -681,64 +672,59 @@ def spmxv(matrix, x: np.ndarray, k: int = 4,
     circuit), whose area matches the Level-2 tree design.
     """
     return BlasCall("spmxv", operands=(matrix, x), k=k,
-                    options=options).execute()
+                    options=options or DEFAULT_OPTIONS).execute()
 
 
 # ----------------------------------------------------------------------
 # planning wrappers
 # ----------------------------------------------------------------------
-def plan_dot(n: int, k: int = 2, clock_mhz: Optional[float] = None,
-             on_xd1: bool = False) -> ExecutionPlan:
+def plan_dot(n: int, k: int = 2,
+             options: Optional[CallOptions] = None) -> ExecutionPlan:
     """Predict a :func:`dot` call: ⌈n/k⌉ input rows plus the pipeline
     fill and the reduction flush."""
-    return BlasCall("dot", shape=(n,), k=k, clock_mhz=clock_mhz,
-                    on_xd1=on_xd1).plan()
+    return BlasCall("dot", shape=(n,), k=k,
+                    options=options or DEFAULT_OPTIONS).plan()
 
 
 def plan_gemv(nrows: int, ncols: int, k: int = 4,
               architecture: str = "tree",
-              clock_mhz: Optional[float] = None,
-              on_xd1: bool = False) -> ExecutionPlan:
+              options: Optional[CallOptions] = None) -> ExecutionPlan:
     """Predict a :func:`gemv` call on either MVM architecture."""
     return BlasCall("gemv", shape=(nrows, ncols), k=k,
-                    architecture=architecture, clock_mhz=clock_mhz,
-                    on_xd1=on_xd1).plan()
+                    architecture=architecture,
+                    options=options or DEFAULT_OPTIONS).plan()
 
 
 def plan_gemm(p: int, q: int, r: int, k: int = 8,
               m: Optional[int] = None,
-              clock_mhz: Optional[float] = None,
-              on_xd1: bool = False) -> ExecutionPlan:
+              options: Optional[CallOptions] = None) -> ExecutionPlan:
     """Predict a :func:`gemm` call — exact, from the Level-3 closed-form
     timing model (startup + nb³·m³/k compute + drain + C output)."""
     return BlasCall("gemm", shape=(p, q, r), k=k, m=m,
-                    clock_mhz=clock_mhz, on_xd1=on_xd1).plan()
+                    options=options or DEFAULT_OPTIONS).plan()
 
 
 def plan_gemm_multi(p: int, q: int, r: int, l: int, k: int = 8,
                     m: Optional[int] = None,
-                    clock_mhz: Optional[float] = None,
-                    on_xd1: bool = False,
-                    fpgas_per_chassis: Optional[int] = None
+                    options: Optional[CallOptions] = None
                     ) -> ExecutionPlan:
     """Predict a :func:`gemm_multi` call — exact, from the Section 5.2
     closed-form model: FPGA_0's ⌈bm/l⌉·bm² m-block MACs dominate, plus
     the k·l array traversal, startup, drain and C output (and, when
-    ``l`` exceeds ``fpgas_per_chassis``, the RapidArray boundary
-    crossings, itemized as ``inter_chassis_cycles``).  The plan's
-    ``blades_required`` is ``l`` and its ``design_key`` names the
-    per-gang bitstream."""
+    ``l`` exceeds ``options.fpgas_per_chassis``, the RapidArray
+    boundary crossings, itemized as ``inter_chassis_cycles``).  The
+    plan's ``blades_required`` is ``l`` and its ``design_key`` names
+    the per-gang bitstream."""
     return BlasCall("gemm", shape=(p, q, r), k=k, m=m, blades=l,
-                    clock_mhz=clock_mhz, on_xd1=on_xd1,
-                    fpgas_per_chassis=fpgas_per_chassis).plan()
+                    options=options or DEFAULT_OPTIONS).plan()
 
 
-def plan_spmxv(matrix, k: int = 4, clock_mhz: Optional[float] = None,
-               on_xd1: bool = False) -> ExecutionPlan:
+def plan_spmxv(matrix: CsrMatrix, k: int = 4,
+               options: Optional[CallOptions] = None) -> ExecutionPlan:
     """Predict a :func:`spmxv` call from the matrix's row structure
     (⌈nnz_i/k⌉ chunks per non-empty row plus pipeline fill)."""
     return BlasCall("spmxv", operands=(matrix, None), k=k,
-                    clock_mhz=clock_mhz, on_xd1=on_xd1).plan()
+                    options=options or DEFAULT_OPTIONS).plan()
 
 
 def gemm_fixed_overhead_cycles(k: int, m: int) -> int:

@@ -27,7 +27,7 @@ re-feed its inputs each round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -78,11 +78,18 @@ def _value_words(value: Any) -> int:
 
 @dataclass
 class ProgramNode:
+    """One graph node; kernel nodes carry their ``BlasCall`` fields."""
+
     name: str
     kind: str                      # "input" | "kernel" | "host"
     operation: Optional[str] = None
     operands: Tuple[Any, ...] = ()
-    call_kwargs: Dict[str, Any] = field(default_factory=dict)
+    k: Optional[int] = None
+    m: Optional[int] = None
+    blades: int = 1
+    architecture: str = "tree"
+    block: Optional[int] = None
+    options: api.CallOptions = api.DEFAULT_OPTIONS
     fn: Optional[Callable[..., Any]] = None
     value: Any = None
 
@@ -158,19 +165,22 @@ class BlasProgram:
         return self._add(ProgramNode(name, "input", value=value))
 
     def add_kernel(self, name: str, operation: str,
-                   operands: Tuple[Any, ...],
-                   **call_kwargs: Any) -> str:
+                   operands: Tuple[Any, ...], *,
+                   k: Optional[int] = None, m: Optional[int] = None,
+                   blades: int = 1, architecture: str = "tree",
+                   block: Optional[int] = None,
+                   options: Optional[api.CallOptions] = None) -> str:
         """A BLAS kernel node; ``operands`` may mix arrays and
-        :class:`Ref` placeholders.  ``call_kwargs`` pass through to
-        :class:`~repro.blas.api.BlasCall` (``k``, ``m``,
-        ``architecture``, ``options`` …)."""
+        :class:`Ref` placeholders.  The keywords are the
+        :class:`~repro.blas.api.BlasCall` fields of the same names."""
         if operation not in api.DEFAULT_K:
             raise ProgramError(
                 f"unknown kernel operation {operation!r}; expected "
                 f"one of {tuple(api.DEFAULT_K)}")
-        return self._add(ProgramNode(name, "kernel", operation,
-                                     tuple(operands),
-                                     dict(call_kwargs)))
+        return self._add(ProgramNode(
+            name, "kernel", operation, tuple(operands), k=k, m=m,
+            blades=blades, architecture=architecture, block=block,
+            options=options or api.DEFAULT_OPTIONS))
 
     def add_host(self, name: str, fn: Callable[..., Any],
                  operands: Tuple[Any, ...] = ()) -> str:
@@ -223,13 +233,17 @@ class BlasProgram:
     def _call(self, node: ProgramNode,
               operands: Tuple[Any, ...],
               sim_mode: Optional[str]) -> api.BlasCall:
-        kwargs = dict(node.call_kwargs)
-        if sim_mode is not None and "options" not in kwargs:
-            kwargs["sim_mode"] = sim_mode
+        assert node.operation is not None
+        # A program-wide sim mode overrides the node's own.
+        options = node.options
+        if sim_mode is not None and sim_mode != options.sim_mode:
+            options = replace(options, sim_mode=sim_mode)
         if len(operands) == 1:
             operands = (operands[0], None)
         return api.BlasCall(node.operation, operands=operands,
-                            **kwargs)
+                            k=node.k, m=node.m, blades=node.blades,
+                            architecture=node.architecture,
+                            block=node.block, options=options)
 
     def _edge_charges(self, node: ProgramNode,
                       values: Dict[str, Any]) -> Tuple[int, int]:
@@ -269,7 +283,6 @@ class BlasProgram:
         node_plans: Dict[str, api.ExecutionPlan] = {}
         kernel_cycles = flops = 0
         streamed_total = dram_total = 0
-        clock = None
         for node in self.nodes:
             if node.kind == "input":
                 values[node.name] = node.value
@@ -283,8 +296,6 @@ class BlasProgram:
                 node_plans[node.name] = plan
                 kernel_cycles += plan.predicted_cycles
                 flops += plan.flops
-                clock = (plan.clock_mhz if clock is None
-                         else min(clock, plan.clock_mhz))
                 values[node.name] = self._shape_stub(node, operands)
             else:
                 values[node.name] = node.fn(*operands)
@@ -296,8 +307,9 @@ class BlasProgram:
                               + dram_total),
             kernel_cycles=kernel_cycles,
             streamed_edge_cycles=streamed_total,
-            dram_edge_cycles=dram_total,
-            flops=flops, clock_mhz=clock, node_plans=node_plans)
+            dram_edge_cycles=dram_total, flops=flops,
+            clock_mhz=min(p.clock_mhz for p in node_plans.values()),
+            node_plans=node_plans)
 
     @staticmethod
     def _shape_stub(node: ProgramNode,
@@ -325,7 +337,6 @@ class BlasProgram:
         node_reports: Dict[str, api.PerfReport] = {}
         streamed_total = dram_total = 0
         kernel_cycles = flops = 0
-        clock = None
         area_slices = 0
         utilization = 0.0
         last_value: Any = None
@@ -343,8 +354,6 @@ class BlasProgram:
                 node_reports[node.name] = report
                 kernel_cycles += report.total_cycles
                 flops += report.flops
-                clock = (report.clock_mhz if clock is None
-                         else min(clock, report.clock_mhz))
                 area_slices = max(area_slices, report.area_slices)
                 utilization = max(utilization,
                                   report.device_utilization)
@@ -360,7 +369,9 @@ class BlasProgram:
             operation=f"program[{self.name}]",
             n=max(r.n for r in node_reports.values()),
             k=max(r.k for r in node_reports.values()),
-            total_cycles=total, clock_mhz=clock, flops=flops,
+            total_cycles=total,
+            clock_mhz=min(r.clock_mhz for r in node_reports.values()),
+            flops=flops,
             area_slices=area_slices, device_utilization=utilization,
             memory_bandwidth_gbytes=0.0,
             efficiency=flops / (total * peak) if total else 0.0,

@@ -96,6 +96,7 @@ behind one ``enabled`` check, so disabled tracing allocates nothing.
 from __future__ import annotations
 
 from collections import Counter, deque
+from dataclasses import replace
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -124,7 +125,6 @@ from repro.runtime.scheduler import (
     SchedulingPolicy,
     make_policy,
 )
-from repro.sim import fast as fastsim
 from repro.sim.engine import SimulationError
 
 #: Full configuration bitstream of the XC2VP50 (~19 Mbit).  Loading it
@@ -237,7 +237,6 @@ class BlasRuntime:
         if batch_limit < 1:
             raise ValueError("batch_limit must be >= 1")
         self.batch_limit = batch_limit
-        self.on_xd1 = on_xd1
         self.strict_queue = strict_queue
         #: Trace sink; the default NULL_RECORDER keeps every
         #: instrumentation site behind a single ``enabled`` check so
@@ -260,13 +259,11 @@ class BlasRuntime:
         #: histograms instead of full wait/latency lists — what the
         #: serve layer runs epochs with on a soak.
         self.bounded_metrics = bounded_metrics
-        #: Execution substrate for every BLAS call this runtime makes
-        #: (see :mod:`repro.sim.fast`): "cycle" steps the designs,
-        #: "fast"/"auto" use the proven-equivalent fast paths.  Charged
-        #: cycles, results and metrics are identical either way — the
-        #: differential harness enforces it — so only wall time changes.
-        fastsim.resolve_sim_mode(sim_mode)  # validate early
-        self.sim_mode = sim_mode
+        #: Options of every BLAS call this runtime makes, built and
+        #: validated once.  The sim mode (:mod:`repro.sim.fast`) only
+        #: changes wall time: charged cycles, results and metrics are
+        #: identical in every mode (the differential harness checks).
+        self.options = api.CallOptions(on_xd1=on_xd1, sim_mode=sim_mode)
         self.fault_plan = fault_plan
         #: The fault hook; None on a fault-free run so every fault path
         #: stays dormant and behavior matches the pre-fault executor.
@@ -313,9 +310,11 @@ class BlasRuntime:
         self._work_steals = 0
         self._inter_chassis_cycles = 0
         chassis_sizes = Counter(d.chassis for d in self.devices)
-        #: Blades of the largest chassis: a gang wider than this spans
-        #: chassis and is charged the RapidArray boundary crossings.
-        self._fpgas_per_chassis = max(chassis_sizes.values())
+        #: Gang calls are seated on the largest chassis: a gang wider
+        #: than it spans chassis and is charged the RapidArray
+        #: boundary crossings.
+        self._gang_options = replace(
+            self.options, fpgas_per_chassis=max(chassis_sizes.values()))
         self._total_blades = len(self.devices)
         self._ran = False
 
@@ -356,9 +355,8 @@ class BlasRuntime:
         return api.BlasCall(request.operation, operands=request.operands,
                             k=request.k, m=request.m, blades=blades,
                             architecture=request.architecture,
-                            on_xd1=self.on_xd1, sim_mode=self.sim_mode,
-                            fpgas_per_chassis=(self._fpgas_per_chassis
-                                               if blades > 1 else None))
+                            options=(self._gang_options if blades > 1
+                                     else self.options))
 
     def _gang_width_for(self, request: BlasRequest,
                         cap: Optional[int] = None) -> int:
@@ -394,7 +392,7 @@ class BlasRuntime:
         invalid program fails at admission — ``submit()`` turns the
         ``DesignRuleError`` into a pre-queue job failure — instead of
         inside an epoch."""
-        program.check(platform="xd1" if self.on_xd1 else "src")
+        program.check(platform="xd1" if self.options.on_xd1 else "src")
         pplan = program.plan()
         node_plans = list(pplan.node_plans.values())
         area = max((p.area for p in node_plans),
@@ -409,7 +407,8 @@ class BlasRuntime:
     def _execute(self, request: BlasRequest,
                  blades: int = 1) -> api.BlasResult:
         if request.operation == "program":
-            run = request.operands[0].execute(sim_mode=self.sim_mode)
+            run = request.operands[0].execute(
+                sim_mode=self.options.sim_mode)
             return api.BlasResult(run.value, run.report)
         return self._call(request, blades=blades).execute()
 

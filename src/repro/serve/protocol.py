@@ -12,10 +12,12 @@ Requests
     Bind the connection's default tenant.
 ``{"op": "submit", "id": N, "tenant": NAME, "at": T, "call": SPEC}``
     Submit one BLAS call arriving at virtual time ``T``.  ``call``
-    reuses the ``repro analyze`` spec schema (``operation``, ``n``,
-    ``k``, ``architecture``, ``m``, ``blades``, ``clock_mhz``) plus
-    serve-only ``seed`` (operands are synthesized server-side from it)
-    and ``priority``.  ``tenant`` may be omitted after a ``hello``.
+    reuses the ``repro analyze`` spec schema's geometry fields
+    (``operation``, ``n``, ``k``, ``architecture``, ``m``, ``blades``)
+    plus serve-only ``seed`` (operands are synthesized server-side
+    from it) and ``priority``.  Clock and platform are the server's,
+    so a ``clock_mhz`` is an unknown field.  ``tenant`` may be omitted
+    after a ``hello``.
 ``{"op": "drain"}``
     Execute everything admitted since the last drain as one epoch and
     return per-request results.
@@ -55,11 +57,10 @@ PROTOCOL_VERSION = 1
 #: parallelism; ``m``/``blades``/``architecture`` do not apply.
 OPERATIONS = ("dot", "gemv", "gemm", "spmxv", "cg")
 
-#: The ``repro analyze`` design-spec schema fields...
-_ANALYZE_FIELDS = ("operation", "n", "k", "architecture", "m",
-                   "blades", "clock_mhz")
-#: ...plus the serve-only additions.
-CALL_FIELDS = frozenset(_ANALYZE_FIELDS) | {"seed", "priority"}
+#: The geometry fields of the ``repro analyze`` design-spec schema
+#: plus the serve-only ``seed`` and ``priority``.
+CALL_FIELDS = frozenset({"operation", "n", "k", "architecture", "m",
+                         "blades", "seed", "priority"})
 
 # -- typed reject reasons (admission layer) -----------------------------
 REJECT_INVALID = "invalid_request"
@@ -135,12 +136,6 @@ def validate_call(spec: Any) -> Dict[str, Any]:
             raise ProtocolError(
                 "architecture must be 'tree' or 'column'")
         out["architecture"] = architecture
-    clock_mhz = spec.get("clock_mhz")
-    if clock_mhz is not None:
-        if not isinstance(clock_mhz, (int, float)) \
-                or isinstance(clock_mhz, bool) or clock_mhz <= 0:
-            raise ProtocolError("clock_mhz must be a positive number")
-        out["clock_mhz"] = float(clock_mhz)
     seed = spec.get("seed")
     if seed is not None:
         if not isinstance(seed, int) or isinstance(seed, bool) \

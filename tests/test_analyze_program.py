@@ -18,6 +18,7 @@ from repro.analyze import (
     shipped_programs,
 )
 from repro.analyze.drc import DesignRuleError
+from repro.blas.api import CallOptions
 from repro.blas.program import BlasProgram, Ref, edge_cycles
 from repro.runtime import BlasRequest, BlasRuntime, JobState
 from repro.solvers.cg import cg_iteration_program, cg_iteration_spec
@@ -325,6 +326,33 @@ class TestPrg006DrcDelegation:
         delegated = {d.data["delegated_rule"] for d in findings}
         assert {"DRC006", "DRC007"} <= delegated
         assert all(d.subject == "cg-iteration.Ap" for d in findings)
+
+    def test_violate_checks_the_clock_that_executes(self, rng):
+        # 400 MHz exceeds what the dot design closes timing at: the
+        # node's options bundle is what executes, so it is what
+        # PRG006 delegates to DRC007.
+        program = BlasProgram(name="overclocked")
+        program.add_input("u", rng.standard_normal(64))
+        program.add_kernel(
+            "d", "dot", (Ref("u", streamed=False),
+                         Ref("u", streamed=False)),
+            k=2, options=CallOptions(clock_mhz=400.0))
+        findings = [d for d in check_program(program)
+                    if d.rule == "PRG006"]
+        assert {d.data["delegated_rule"] for d in findings} \
+            == {"DRC007"}
+        assert "400 MHz" in findings[0].message
+
+    def test_flat_clock_keyword_fails_at_add_kernel(self, rng):
+        # A second spelling would let the verifier and the executor
+        # read different clocks; it is refused when the node is added.
+        program = BlasProgram(name="two-spellings")
+        program.add_input("u", rng.standard_normal(64))
+        with pytest.raises(TypeError):
+            program.add_kernel(
+                "d", "dot", (Ref("u"), Ref("u")), k=2,
+                clock_mhz=90.0, options=CallOptions(clock_mhz=400.0))
+        assert len(program) == 1
 
 
 class TestPrg007Fusion:

@@ -167,21 +167,13 @@ class TestMultiFpgaGemm:
 class TestCallOptions:
     """One shared options bundle replaces per-kernel kwarg plumbing."""
 
-    def test_bundle_equivalent_to_legacy_kwargs(self, rng):
-        # The wrappers' bundle matches BlasCall's individual fields.
-        u, v = rng.standard_normal(128), rng.standard_normal(128)
-        legacy = BlasCall("dot", operands=(u, v), clock_mhz=85.0,
-                          on_xd1=False).execute().report
-        bundled = dot(u, v,
-                      options=CallOptions(clock_mhz=85.0)).report
-        assert legacy == bundled
-
-    def test_explicit_bundle_wins_over_kwargs(self, rng):
-        u, v = rng.standard_normal(64), rng.standard_normal(64)
-        report = BlasCall("dot", operands=(u, v), clock_mhz=170.0,
-                          options=CallOptions(clock_mhz=85.0)
-                          ).execute().report
-        assert report.clock_mhz == 85.0
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"sim_mode": "warp"}, "unknown sim mode"),
+        ({"fpgas_per_chassis": 0}, "fpgas_per_chassis"),
+    ], ids=["sim_mode", "fpgas_per_chassis"])
+    def test_bad_bundle_fails_at_construction(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            CallOptions(**kwargs)
 
     def test_same_bundle_reused_across_kernels(self, rng):
         options = CallOptions(on_xd1=True, sim_mode="fast")

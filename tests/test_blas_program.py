@@ -225,3 +225,34 @@ class TestExecution:
                            k=2, options=CallOptions(clock_mhz=85.0))
         run = program.execute()
         assert run.node_reports["d"].clock_mhz == 85.0
+
+    @pytest.mark.parametrize("spelling", [{}, {"options": CallOptions()}],
+                             ids=["plain", "options"])
+    def test_program_sim_mode_reaches_every_node(self, rng,
+                                                 monkeypatch, spelling):
+        # execute(sim_mode="fast") must run the fast path whichever
+        # way the node was built: a node's own bundle does not pin
+        # it to cycle stepping.
+        import repro.sim.fast as fastsim
+
+        calls = []
+        real = fastsim.fast_dot
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fastsim, "fast_dot", spy)
+        u = rng.standard_normal(64)
+        program = BlasProgram()
+        program.add_input("u", u)
+        program.add_kernel("d", "dot",
+                           (Ref("u", streamed=False),
+                            Ref("u", streamed=False)),
+                           k=2, **spelling)
+        fast = program.execute(sim_mode="fast")
+        assert len(calls) == 1
+        cycle = program.execute(sim_mode="cycle")
+        assert len(calls) == 1
+        assert fast.value == cycle.value
+        assert fast.report == cycle.report

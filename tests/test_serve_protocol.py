@@ -34,15 +34,23 @@ class TestValidateCall:
     def test_full_spec_normalized(self):
         spec = protocol.validate_call({
             "operation": "gemm", "n": 32, "k": 8, "m": 16,
-            "blades": 2, "architecture": "tree", "clock_mhz": 140,
+            "blades": 2, "architecture": "tree",
             "seed": 5, "priority": 1})
-        assert spec["clock_mhz"] == 140.0
+        assert spec["m"] == 16
         assert spec["blades"] == 2
 
     def test_rejects_unknown_fields(self):
         with pytest.raises(protocol.ProtocolError, match="unknown"):
             protocol.validate_call(
                 {"operation": "dot", "n": 8, "matrix": [[1]]})
+
+    def test_rejects_clock_as_unknown(self):
+        # The server's clock is what runs; a per-call clock would be
+        # accepted and then ignored, so the wire refuses it.
+        with pytest.raises(protocol.ProtocolError,
+                           match=r"unknown call field\(s\): \['clock_mhz'\]"):
+            protocol.validate_call(
+                {"operation": "gemm", "n": 64, "clock_mhz": 20})
 
     def test_rejects_unknown_operation(self):
         with pytest.raises(protocol.ProtocolError, match="operation"):
@@ -55,8 +63,10 @@ class TestValidateCall:
 
     @pytest.mark.parametrize("field,value", [
         ("k", 0), ("k", True), ("m", -2), ("blades", 0),
-        ("architecture", "mesh"), ("clock_mhz", 0),
-        ("clock_mhz", True), ("seed", -1), ("seed", 1.5),
+        ("architecture", "mesh"),
+        # clock_mhz is not a call field: rejected as unknown.
+        ("clock_mhz", 0), ("clock_mhz", True),
+        ("seed", -1), ("seed", 1.5),
         ("priority", "high"),
     ])
     def test_rejects_bad_optionals(self, field, value):

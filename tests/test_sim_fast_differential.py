@@ -92,7 +92,8 @@ class TestExactPlanCycles:
         reports = {}
         for mode in ("cycle", "fast"):
             reports[mode] = dataclasses.replace(
-                call, sim_mode=mode).execute().report
+                call, options=api.CallOptions(sim_mode=mode)
+            ).execute().report
         assert (plan.predicted_cycles
                 == reports["cycle"].total_cycles
                 == reports["fast"].total_cycles)
@@ -178,7 +179,7 @@ class TestErrorParity:
 
     def test_bad_sim_mode_rejected_everywhere(self):
         with pytest.raises(ValueError, match="unknown sim mode"):
-            api.BlasCall("dot", shape=(8,), sim_mode="warp")
+            api.CallOptions(sim_mode="warp")
         with pytest.raises(ValueError, match="unknown sim mode"):
             BlasRuntime(sim_mode="warp")
 
