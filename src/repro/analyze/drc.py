@@ -59,7 +59,7 @@ from repro.device.area import AreaModel, DesignArea
 from repro.fparith.units import FP_ADDER_64, FP_MULTIPLIER_64
 
 if TYPE_CHECKING:
-    from repro.blas.api import BlasCall
+    from repro.blas.api import BlasCall, ExecutionPlan
 
 #: Operations the checker knows, and which use the reduction circuit.
 OPERATIONS = ("dot", "gemv", "gemm", "spmxv")
@@ -131,7 +131,7 @@ class DesignUnderCheck:
         )
 
     @classmethod
-    def from_plan(cls, plan: object) -> "DesignUnderCheck":
+    def from_plan(cls, plan: ExecutionPlan) -> "DesignUnderCheck":
         """Normalize a :class:`repro.blas.api.ExecutionPlan`.
 
         The plan's clock is the area model's *output* (possibly

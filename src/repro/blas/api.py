@@ -565,13 +565,6 @@ class BlasCall:
         k = self.effective_k
         size = max(p, q, r)
         m, padded = gemm_geometry(p, q, r, k, self.m)
-        if (p, q) == (padded, padded) and r == padded:
-            a_pad, b_pad = A, B
-        else:
-            a_pad = np.zeros((padded, padded))
-            b_pad = np.zeros((padded, padded))
-            a_pad[:p, :q] = A
-            b_pad[:q, :r] = B
         area = self._area()
         clock = self._clock(area)
         # Useful flops only; cycles include any padding work, so the
@@ -581,6 +574,13 @@ class BlasCall:
                     == "fast")
         crossing = 0
         if self.blades > 1:
+            if (p, q) == (padded, padded) and r == padded:
+                a_pad, b_pad = A, B
+            else:
+                a_pad = np.zeros((padded, padded))
+                b_pad = np.zeros((padded, padded))
+                a_pad[:p, :q] = A
+                b_pad[:q, :r] = B
             gang = self._gang_design(m, padded)
             run = (fastsim.fast_multi_fpga_mm(gang, a_pad, b_pad)
                    if use_fast else None)
@@ -590,10 +590,10 @@ class BlasCall:
             crossing = self._inter_chassis_cycles(m, padded)
         else:
             # The single-blade PE array's cycle model is already
-            # analytic (closed-form timing + block matmuls), so fast
+            # analytic (closed-form timing, ordered z sweep), so fast
             # mode runs the same path — the "already exact" tier.
             design = MatrixMultiplyDesign(k=k, m=m)
-            run = design.run(a_pad, b_pad, strict=self.options.strict)
+            run = design.run(A, B, strict=self.options.strict)
             bandwidth = run.memory_bandwidth_gbytes(clock)
         total_cycles = run.total_cycles + crossing
         report = PerfReport(

@@ -22,11 +22,13 @@ Claims reproduced by the simulator: effective latency n³/k cycles,
 storage 2m² words, bandwidth 3k/m words/cycle, I/O complexity
 Θ(n³/m) — the Hong-Kung lower bound for internal memory 2m².
 
-The simulator replays the paper's schedule cycle for cycle.  In
-``strict`` mode it executes every MAC at its scheduled cycle with
-per-cell hazard tracking; in fast mode it performs the numerically
-identical per-z accumulation with closed-form cycle accounting
-(cross-validated against strict mode in the test suite).
+The simulator takes rectangular p×q · q×r operands and charges the
+schedule of their zero-padded square form.  In ``strict`` mode it
+replays every padded block MAC at its scheduled cycle with per-cell
+hazard tracking; in fast mode it performs the numerically identical
+accumulation as one ordered sweep over the q unpadded z steps, with
+closed-form cycle and traffic accounting (cross-validated against
+strict mode in the test suite).
 """
 
 from __future__ import annotations
@@ -161,38 +163,48 @@ class MatrixMultiplyDesign:
     # ------------------------------------------------------------------
     def run(self, A: np.ndarray, B: np.ndarray,
             strict: bool = False) -> MatrixMultiplyRun:
-        """Simulate C = A·B for n×n matrices (n a multiple of m)."""
+        """Simulate C = A·B for a p×q by q×r product.
+
+        The operands are zero-padded to order n = m·⌈max(p, q, r)/m⌉
+        and the counters charge the whole padded schedule.  ``strict``
+        replays every padded block MAC by MAC with the hazard checks;
+        fast mode sweeps only the q unpadded z steps, in order, over
+        the whole p×r result.  A padded z step would add 0·0 = +0.0 to
+        a running sum that starts at +0.0, which under round-to-nearest
+        is never −0.0, so skipping those steps changes no bit.
+        """
         A = np.asarray(A, dtype=np.float64)
         B = np.asarray(B, dtype=np.float64)
-        if A.ndim != 2 or A.shape != B.shape or A.shape[0] != A.shape[1]:
-            raise ValueError("A and B must be equal square matrices")
-        n = A.shape[0]
+        if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+            raise ValueError(
+                f"cannot multiply A {A.shape} by B {B.shape}")
+        (p, q), r = A.shape, B.shape[1]
         m, k = self.m, self.k
-        if n % m:
-            raise ValueError(f"n = {n} must be a multiple of m = {m}")
-        nb = n // m
+        nb = -(-max(p, q, r) // m)
+        n = nb * m
 
-        C = np.zeros((n, n))
-        words_read = 0
-        words_written = 0
-        compute_cycles = 0
-
-        for g in range(nb):
-            for h in range(nb):
-                c_block = np.zeros((m, m))
-                for z in range(nb):
-                    a_blk = A[g * m:(g + 1) * m, z * m:(z + 1) * m]
-                    b_blk = B[z * m:(z + 1) * m, h * m:(h + 1) * m]
-                    if strict:
-                        cycles = self._block_multiply_strict(
-                            a_blk, b_blk, c_block)
-                    else:
-                        cycles = self._block_multiply_fast(
-                            a_blk, b_blk, c_block)
-                    compute_cycles += cycles
-                    words_read += 2 * m * m
-                C[g * m:(g + 1) * m, h * m:(h + 1) * m] = c_block
-                words_written += m * m
+        if strict:
+            a_pad = np.pad(A, ((0, n - p), (0, n - q)))
+            b_pad = np.pad(B, ((0, n - q), (0, n - r)))
+            C = np.zeros((n, n))
+            compute_cycles = 0
+            for g in range(nb):
+                for h in range(nb):
+                    c_block = C[g * m:(g + 1) * m, h * m:(h + 1) * m]
+                    for z in range(nb):
+                        compute_cycles += self._block_multiply_strict(
+                            a_pad[g * m:(g + 1) * m, z * m:(z + 1) * m],
+                            b_pad[z * m:(z + 1) * m, h * m:(h + 1) * m],
+                            c_block)
+            C = C[:p, :r]
+        else:
+            C = np.zeros((p, r))
+            term = np.empty((p, r))
+            AT = np.ascontiguousarray(A.T)
+            for z in range(q):
+                np.multiply(AT[z][:, None], B[z], out=term)
+                C += term
+            compute_cycles = nb ** 3 * self.block_compute_cycles()
 
         total = (self.startup_cycles() + compute_cycles
                  + self.drain_cycles() + m * m)  # final C block output
@@ -200,22 +212,12 @@ class MatrixMultiplyDesign:
             C=C, n=n, m=m, k=k,
             total_cycles=total,
             compute_cycles=compute_cycles,
-            words_read=words_read,
-            words_written=words_written,
+            words_read=nb ** 3 * 2 * m * m,
+            words_written=nb ** 2 * m * m,
             storage_words=self.storage_words,
         )
 
     # ------------------------------------------------------------------
-    def _block_multiply_fast(self, a_blk: np.ndarray, b_blk: np.ndarray,
-                             c_block: np.ndarray) -> int:
-        """Per-z-step accumulation — numerically identical to the PE
-        schedule (each C′ cell accumulates its z contributions in
-        order) with closed-form cycle count m³/k."""
-        m = self.m
-        for z in range(m):
-            c_block += np.outer(a_blk[:, z], b_blk[z, :])
-        return m ** 3 // self.k
-
     def _block_multiply_strict(self, a_blk: np.ndarray, b_blk: np.ndarray,
                                c_block: np.ndarray) -> int:
         """Cycle-by-cycle replay of the PE schedule with hazard checks.

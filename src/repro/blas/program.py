@@ -96,6 +96,12 @@ class ProgramNode:
     def refs(self) -> List[Ref]:
         return [op for op in self.operands if isinstance(op, Ref)]
 
+    def call_host(self, operands: Tuple[Any, ...]) -> Any:
+        """Run a host node's function on its resolved operands."""
+        if self.fn is None:
+            raise ProgramError(f"host node {self.name!r} has no function")
+        return self.fn(*operands)
+
 
 @dataclass(frozen=True)
 class ProgramPlan:
@@ -298,7 +304,7 @@ class BlasProgram:
                 flops += plan.flops
                 values[node.name] = self._shape_stub(node, operands)
             else:
-                values[node.name] = node.fn(*operands)
+                values[node.name] = node.call_host(operands)
         if not node_plans:
             raise ProgramError("program has no kernel nodes")
         return ProgramPlan(
@@ -359,7 +365,7 @@ class BlasProgram:
                                   report.device_utilization)
                 values[node.name] = result.value
             else:
-                values[node.name] = node.fn(*operands)
+                values[node.name] = node.call_host(operands)
             last_value = values[node.name]
         if not node_reports:
             raise ProgramError("program has no kernel nodes")
@@ -396,7 +402,7 @@ class BlasProgram:
                 values[node.name] = self._reference_kernel(
                     node, operands)
             else:
-                values[node.name] = node.fn(*operands)
+                values[node.name] = node.call_host(operands)
             last = values[node.name]
         return last
 

@@ -14,7 +14,6 @@ traffic is accounted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -62,19 +61,10 @@ class BlockedLu:
     # ------------------------------------------------------------------
     def _fpga_gemm_update(self, A21: np.ndarray, A12: np.ndarray
                           ) -> Tuple[np.ndarray, int]:
-        """Compute A21 · A12 on the PE array, tiled to square
-        m-multiples with zero padding at the fringe."""
-        m = self.mm.m
-        rows, inner = A21.shape
-        cols = A12.shape[1]
-        size = max(rows, inner, cols)
-        padded = m * math.ceil(size / m)
-        Ap = np.zeros((padded, padded))
-        Bp = np.zeros((padded, padded))
-        Ap[:rows, :inner] = A21
-        Bp[:inner, :cols] = A12
-        run = self.mm.run(Ap, Bp)
-        return run.C[:rows, :cols], run.total_cycles
+        """Compute A21 · A12 on the PE array; the array pads the
+        operands to square m-multiples and charges the padding."""
+        run = self.mm.run(A21, A12)
+        return run.C, run.total_cycles
 
     def factor(self, A: np.ndarray) -> LuResult:
         """Factor P·A = L·U (partial pivoting)."""

@@ -10,6 +10,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blas import api
+from repro.blas.api import CallOptions
 from repro.blas.level1 import DotProductDesign
 from repro.blas.level2 import ColumnMajorMvmDesign, TreeMvmDesign
 from repro.blas.level3 import MatrixMultiplyDesign
@@ -87,6 +89,49 @@ def test_mm_strict_equals_fast(seed):
     fast = design.run(A, B)
     strict = design.run(A, B, strict=True)
     assert np.array_equal(fast.C, strict.C)
+
+
+#: Exact values that stress the padding argument: signed zeros, and
+#: infinities whose products with zero give NaN.
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 40),
+       st.sampled_from([8, 16]), st.integers(0, 2 ** 31),
+       st.lists(st.tuples(st.booleans(), st.integers(0, 39),
+                          st.integers(0, 39), _SPECIAL), max_size=8))
+def test_gemm_fast_equals_strict_on_padded_shapes(p, q, r, m, seed,
+                                                  specials):
+    # Fast mode sweeps only the q unpadded z steps; strict mode replays
+    # the zero-padded m-blocks.  The bytes must agree, and the counters
+    # of a rectangular run must be those of its padded square form.
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p, q))
+    B = rng.standard_normal((q, r))
+    for in_a, i, j, value in specials:
+        M = A if in_a else B
+        M[i % M.shape[0], j % M.shape[1]] = value
+    with np.errstate(invalid="ignore"):  # inf·0 makes NaN on purpose
+        fast = api.gemm(A, B, k=4, m=m).value
+        strict = api.gemm(A, B, k=4, m=m,
+                          options=CallOptions(strict=True)).value
+    assert fast.tobytes() == strict.tobytes()
+
+    design = MatrixMultiplyDesign(k=4, m=m)
+    n = m * -(-max(p, q, r) // m)
+    a_pad = np.zeros((n, n))
+    b_pad = np.zeros((n, n))
+    a_pad[:p, :q] = A
+    b_pad[:q, :r] = B
+    with np.errstate(invalid="ignore"):
+        rect = design.run(A, B)
+        square = design.run(a_pad, b_pad)
+    assert rect.C.tobytes() == square.C[:p, :r].tobytes()
+    assert ((rect.n, rect.total_cycles, rect.compute_cycles,
+             rect.words_read, rect.words_written)
+            == (square.n, square.total_cycles, square.compute_cycles,
+                square.words_read, square.words_written))
 
 
 @settings(max_examples=30, deadline=None)

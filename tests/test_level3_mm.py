@@ -42,17 +42,25 @@ class TestCorrectness:
         run = MatrixMultiplyDesign(k=k, m=m).run(A, B)
         np.testing.assert_allclose(run.C, A @ B, rtol=1e-11, atol=1e-11)
 
-    def test_n_must_be_multiple_of_m(self, rng):
+    def test_pads_n_to_multiple_of_m(self, rng):
+        # 24 is not a multiple of m = 16: the run charges the 32×32
+        # padded schedule and returns the unpadded 24×24 product.
         design = MatrixMultiplyDesign(k=4, m=16)
         A = rng.standard_normal((24, 24))
-        with pytest.raises(ValueError, match="multiple of m"):
-            design.run(A, A)
+        a_pad = np.zeros((32, 32))
+        a_pad[:24, :24] = A
+        run = design.run(A, A)
+        padded = design.run(a_pad, a_pad)
+        assert run.C.shape == (24, 24)
+        assert np.array_equal(run.C, padded.C[:24, :24])
+        assert (run.n, run.total_cycles, run.io_words) == (
+            padded.n, padded.total_cycles, padded.io_words)
 
-    def test_non_square_rejected(self, rng):
+    def test_inner_dimensions_must_agree(self, rng):
         design = MatrixMultiplyDesign(k=4, m=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot multiply"):
             design.run(rng.standard_normal((16, 32)),
-                       rng.standard_normal((32, 16)))
+                       rng.standard_normal((16, 16)))
 
     def test_identity(self, rng):
         design = MatrixMultiplyDesign(k=4, m=16)
